@@ -1,15 +1,11 @@
 #include "service/agent.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
-#include "service/socket.hpp"
-#include "service/wire.hpp"
 
 namespace dcs::service {
 
@@ -27,55 +23,81 @@ std::string serialize_sketch(const DistinctCountSketch& sketch) {
 SiteAgent::SiteAgent(SiteAgentConfig config)
     : config_(std::move(config)),
       current_(config_.params),
-      current_epoch_(config_.first_epoch),
-      jitter_(config_.jitter_seed),
-      trace_ring_(config_.trace_capacity) {
+      shard_map_(config_.shard_map),
+      map_version_(shard_map_.version()),
+      trace_ring_(config_.trace_capacity),
+      shipper_(shipper_config()) {
   // Eager registration so an agent-side scrape lists every stage family
   // (and the heartbeat RTT histogram) before any epoch is sealed.
   obs::TraceMetrics::get();
-  obs::AgentMetrics::get();
   if (config_.epoch_updates == 0)
     throw std::invalid_argument("SiteAgent: epoch_updates must be > 0");
   if (config_.spool_epochs == 0)
     throw std::invalid_argument("SiteAgent: spool_epochs must be > 0");
   if (config_.first_epoch == 0)
     throw std::invalid_argument("SiteAgent: first_epoch must be >= 1");
-  if (config_.backoff_jitter < 0.0 || config_.backoff_jitter > 1.0)
-    throw std::invalid_argument("SiteAgent: backoff_jitter must be in [0,1]");
-  stats_.current_epoch = current_epoch_;
-  shard_map_ = config_.shard_map;
-  stats_.map_version = shard_map_.version();
 }
 
-SiteAgent::~SiteAgent() {
-  // Abrupt: no Bye, no drain — the collector sees a vanished peer, exactly
-  // like a crashed agent. The churn test relies on this.
-  running_.store(false, std::memory_order_release);
-  cv_.notify_all();
-  if (sender_.joinable()) sender_.join();
-}
-
-void SiteAgent::start() {
-  if (running_.load(std::memory_order_acquire)) return;
-  running_.store(true, std::memory_order_release);
-  stopping_.store(false, std::memory_order_release);
-  sender_ = std::thread([this] { sender_loop(); });
+ShipperConfig SiteAgent::shipper_config() {
+  obs::AgentMetrics& metrics = obs::AgentMetrics::get();
+  ShipperConfig ship;
+  ship.role = PeerRole::kSite;
+  ship.peer_id = config_.site_id;
+  ship.params_fingerprint = config_.params.fingerprint();
+  ship.host = config_.collector_host;
+  ship.port = config_.collector_port;
+  ship.backoff_initial_ms = config_.backoff_initial_ms;
+  ship.backoff_max_ms = config_.backoff_max_ms;
+  ship.heartbeat_interval_ms = config_.heartbeat_interval_ms;
+  ship.io_timeout_ms = config_.io_timeout_ms;
+  ship.jitter_seed = config_.jitter_seed;
+  ship.traces = &trace_ring_;
+  ship.metrics = {.shipped = &metrics.epochs_shipped,
+                  .resume_skips = &metrics.resume_skips,
+                  .nacks = &metrics.nacks,
+                  .reconnects = &metrics.reconnects,
+                  .io_errors = &metrics.io_errors,
+                  .rehomes = &obs::FederationMetrics::get().rehomes,
+                  .spool_depth = &metrics.spool_depth,
+                  .heartbeat_rtt_ns = &metrics.heartbeat_rtt_ns};
+  // Under federation, home to the mapped leaf; the seed endpoint is the
+  // fallback after repeated failed connects to it.
+  ship.route = [this](std::uint32_t failed_connects, std::string& host,
+                      std::uint16_t& port) {
+    if (shard_map_.empty() || failed_connects >= kSeedFallbackAfter) return;
+    const LeafEndpoint leaf = shard_map_.endpoint_for(config_.site_id);
+    host = leaf.host;
+    port = leaf.port;
+  };
+  ship.hello = [this](Hello& hello, const Shipper::Spool& spool) {
+    hello.epoch_updates = config_.epoch_updates;
+    hello.first_epoch = spool.empty()
+                            ? config_.first_epoch + epochs_sealed_.load()
+                            : spool.front().epoch;
+    hello.dropped_epochs = epochs_dropped_.load();
+    hello.map_version = shard_map_.version();
+  };
+  ship.heartbeat = [this](Heartbeat& beat) {
+    beat.current_epoch = config_.first_epoch + epochs_sealed_.load();
+    beat.dropped_epochs = epochs_dropped_.load();
+  };
+  // Adopt a pushed map only if strictly newer than ours.
+  ship.adopt_map = [this](const Ack& ack) {
+    if (ack.map_blob.empty() || ack.map_version <= shard_map_.version())
+      return;
+    try {
+      shard_map_ = ShardMap::decode(ack.map_blob);
+    } catch (const SerializeError&) {
+      return;  // corrupt push — keep the map we have
+    }
+    map_version_.store(shard_map_.version());
+  };
+  return ship;
 }
 
 void SiteAgent::stop(int drain_timeout_ms) {
-  if (!running_.load(std::memory_order_acquire)) return;
-  flush(drain_timeout_ms);
-  stopping_.store(true, std::memory_order_release);
-  cv_.notify_all();
-  // Give the sender a moment to send Bye, then cut it off.
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait_for(lock, std::chrono::milliseconds(drain_timeout_ms),
-                 [&] { return !running_.load(std::memory_order_acquire); });
-  }
-  running_.store(false, std::memory_order_release);
-  cv_.notify_all();
-  if (sender_.joinable()) sender_.join();
+  if (shipper_.running()) seal_epoch();
+  shipper_.stop(drain_timeout_ms);
 }
 
 void SiteAgent::ingest(const FlowUpdate& update) {
@@ -89,8 +111,9 @@ void SiteAgent::ingest(Addr dest, Addr source, int delta) {
 
 void SiteAgent::seal_epoch() {
   if (current_updates_ == 0) return;
-  SpooledEpoch sealed;
-  sealed.epoch = current_epoch_;
+  SpooledDelta sealed;
+  sealed.site_id = config_.site_id;
+  sealed.epoch = config_.first_epoch + epochs_sealed_.load();
   sealed.updates = current_updates_;
   const std::uint64_t seal_start_ns = obs::steady_now_ns();
   sealed.blob =
@@ -100,18 +123,16 @@ void SiteAgent::seal_epoch() {
   sealed.seal_unix_ns = obs::unix_now_ns();
   sealed.seal_steady_ns = obs::steady_now_ns();
   current_updates_ = 0;
-  ++current_epoch_;
   if (obs::recording())
     obs::TraceMetrics::get()
         .stage(obs::TraceStage::kSealed)
         .observe(sealed.seal_steady_ns - seal_start_ns);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (spool_.size() >= config_.spool_epochs) {
+  shipper_.with_spool([&](Shipper::Spool& spool) {
+    if (spool.size() >= config_.spool_epochs) {
       // Collector unreachable for too long: shed the *oldest* epoch — the
       // newest data matters most for detection — and account the loss.
-      spool_.pop_front();
-      ++stats_.epochs_dropped;
+      spool.pop_front();
+      ++epochs_dropped_;
       if (obs::recording()) obs::AgentMetrics::get().epochs_dropped.inc();
     }
     sealed.spool_unix_ns = obs::unix_now_ns();
@@ -119,356 +140,35 @@ void SiteAgent::seal_epoch() {
       obs::TraceMetrics::get().observe_span(obs::TraceStage::kSpooled,
                                             sealed.seal_unix_ns,
                                             sealed.spool_unix_ns);
-    spool_.push_back(std::move(sealed));
-    ++stats_.epochs_sealed;
-    stats_.spool_depth = spool_.size();
-    stats_.current_epoch = current_epoch_;
-    if (obs::recording()) {
-      obs::AgentMetrics::get().epochs_sealed.inc();
-      obs::AgentMetrics::get().spool_depth.set(
-          static_cast<std::int64_t>(spool_.size()));
-    }
-  }
-  cv_.notify_all();
+    spool.push_back(std::move(sealed));
+    ++epochs_sealed_;
+    if (obs::recording()) obs::AgentMetrics::get().epochs_sealed.inc();
+  });
 }
 
 bool SiteAgent::flush(int timeout_ms) {
   seal_epoch();
-  std::unique_lock<std::mutex> lock(mutex_);
-  return cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-    return spool_.empty() || stats_.rejected ||
-           !running_.load(std::memory_order_acquire);
-  }) && spool_.empty();
+  return shipper_.flush(timeout_ms);
 }
 
 SiteAgent::Stats SiteAgent::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::uint64_t SiteAgent::next_backoff_ms() {
-  backoff_ms_ = backoff_ms_ == 0
-                    ? config_.backoff_initial_ms
-                    : std::min(backoff_ms_ * 2, config_.backoff_max_ms);
-  // Symmetric jitter: delay * (1 ± jitter), so a fleet of agents spreads
-  // its reconnect attempts instead of stampeding in sync.
-  const double spread = 1.0 + config_.backoff_jitter * (2.0 * jitter_.uniform() - 1.0);
-  return static_cast<std::uint64_t>(static_cast<double>(backoff_ms_) * spread);
-}
-
-void SiteAgent::sender_loop() {
-  bool first_attempt = true;
-  while (running_.load(std::memory_order_acquire)) {
-    if (!first_attempt) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.reconnects;
-      }
-      if (obs::recording()) obs::AgentMetrics::get().reconnects.inc();
-      const auto delay = std::chrono::milliseconds(next_backoff_ms());
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait_for(lock, delay,
-                   [&] { return !running_.load(std::memory_order_acquire); });
-      if (!running_.load(std::memory_order_acquire)) break;
-    }
-    first_attempt = false;
-    if (!run_connection()) {
-      // Parameter mismatch: retrying can never succeed.
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.rejected = true;
-      cv_.notify_all();
-      break;
-    }
-    if (stopping_.load(std::memory_order_acquire)) break;
-  }
-  running_.store(false, std::memory_order_release);
-  cv_.notify_all();
-}
-
-void SiteAgent::pick_target(std::string& host, std::uint16_t& port) {
-  host = config_.collector_host;
-  port = config_.collector_port;
-  if (shard_map_.empty()) return;
-  if (connect_failures_ >= kSeedFallbackAfter) return;  // seed fallback
-  const LeafEndpoint leaf = shard_map_.endpoint_for(config_.site_id);
-  host = leaf.host;
-  port = leaf.port;
-}
-
-bool SiteAgent::adopt_map(const Ack& ack) {
-  if (ack.map_blob.empty() || ack.map_version <= shard_map_.version())
-    return false;
-  ShardMap updated;
-  try {
-    updated = ShardMap::decode(ack.map_blob);
-  } catch (const SerializeError&) {
-    return false;  // corrupt push — keep the map we have
-  }
-  const bool had_map = !shard_map_.empty();
-  const LeafEndpoint before =
-      had_map ? shard_map_.endpoint_for(config_.site_id) : LeafEndpoint{};
-  shard_map_ = updated;
-  const LeafEndpoint after = shard_map_.endpoint_for(config_.site_id);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.map_version = shard_map_.version();
-  }
-  return !had_map || !(before == after);
-}
-
-bool SiteAgent::run_connection() {
-  std::string target_host;
-  std::uint16_t target_port = 0;
-  pick_target(target_host, target_port);
-  auto socket = tcp_connect(target_host, target_port, config_.io_timeout_ms);
-  if (!socket) {
-    ++connect_failures_;  // enough of these and pick_target tries the seed
-    return true;          // unreachable — back off and retry
-  }
-  socket->set_timeouts(static_cast<std::uint64_t>(config_.io_timeout_ms),
-                       static_cast<std::uint64_t>(config_.io_timeout_ms));
-
-  FrameDecoder decoder;
-  char buffer[16 * 1024];
-  const auto io_error = [&] {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.io_errors;
-    stats_.connected = false;
-    if (obs::recording()) obs::AgentMetrics::get().io_errors.inc();
-    return true;  // transient — retry with backoff
-  };
-
-  // The version the collector frames its replies at; learned from the
-  // Hello ack and used to downgrade our own encoding for a v2 collector
-  // (no delta timestamps, no heartbeat acks to wait for).
-  std::uint8_t peer_version = kWireVersion;
-
-  /// Block until one Ack arrives (or timeout/error). nullopt = connection
-  /// is dead.
-  const auto await_ack = [&]() -> std::optional<Ack> {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(config_.io_timeout_ms);
-    for (;;) {
-      if (auto frame = decoder.next()) {
-        if (frame->type != MsgType::kAck)
-          throw WireError("agent: expected Ack");
-        peer_version = frame->version;
-        return Ack::decode(frame->payload, frame->version);
-      }
-      if (!running_.load(std::memory_order_acquire) ||
-          std::chrono::steady_clock::now() >= deadline)
-        return std::nullopt;
-      const RecvResult got = socket->recv_some(buffer, sizeof buffer);
-      if (got.closed || got.error) return std::nullopt;
-      if (got.bytes > 0) decoder.feed(buffer, got.bytes);
-    }
-  };
-
-  try {
-    Hello hello;
-    hello.site_id = config_.site_id;
-    hello.role = PeerRole::kSite;
-    hello.params_fingerprint = config_.params.fingerprint();
-    hello.epoch_updates = config_.epoch_updates;
-    hello.map_version = shard_map_.version();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      hello.first_epoch =
-          spool_.empty() ? stats_.current_epoch : spool_.front().epoch;
-      hello.dropped_epochs = stats_.epochs_dropped;
-    }
-    if (!socket->send_all(encode_frame(MsgType::kHello, hello.encode())))
-      return io_error();
-    const auto hello_ack = await_ack();
-    if (!hello_ack) return io_error();
-    if (hello_ack->status == AckStatus::kRejected) return false;
-    if (hello_ack->status == AckStatus::kWrongShard) {
-      // This leaf no longer (or never did) own our shard. Its ack carries
-      // the authoritative map: adopt it, drop this connection, and go
-      // straight to the right leaf. The spool rides along untouched.
-      adopt_map(*hello_ack);
-      connect_failures_ = 0;
-      backoff_ms_ = 0;  // re-home fast — this is redirection, not failure
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.rehomes;
-      }
-      if (obs::recording()) obs::FederationMetrics::get().rehomes.inc();
-      return true;
-    }
-    connect_failures_ = 0;
-    // A v4 leaf piggybacks the current map on every Hello ack when ours is
-    // stale; a moved shard re-homes us on the next reconnect.
-    adopt_map(*hello_ack);
-
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.connected = true;
-      // The Hello ack carries the collector's resume watermark: everything
-      // at or below it is already durably merged (the collector restarted
-      // from its checkpoint after our ack was lost with the connection).
-      // Prune instead of re-shipping — the bytes would only come back
-      // kDuplicate.
-      while (!spool_.empty() && spool_.front().epoch <= hello_ack->epoch) {
-        spool_.pop_front();
-        ++stats_.epochs_shipped;
-        ++stats_.resume_skips;
-        if (obs::recording()) {
-          obs::AgentMetrics::get().epochs_shipped.inc();
-          obs::AgentMetrics::get().resume_skips.inc();
-        }
-      }
-      stats_.spool_depth = spool_.size();
-      if (obs::recording())
-        obs::AgentMetrics::get().spool_depth.set(
-            static_cast<std::int64_t>(spool_.size()));
-    }
-    cv_.notify_all();
-    backoff_ms_ = 0;  // healthy connection resets the backoff schedule
-
-    while (running_.load(std::memory_order_acquire)) {
-      // Peek (don't pop) the oldest spooled epoch: it stays queued until
-      // the collector acks it, so a drop mid-flight retransmits.
-      std::optional<SpooledEpoch> head;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (spool_.empty()) {
-          if (stopping_.load(std::memory_order_acquire)) break;
-          const bool woke = cv_.wait_for(
-              lock, std::chrono::milliseconds(config_.heartbeat_interval_ms),
-              [&] {
-                return !spool_.empty() ||
-                       !running_.load(std::memory_order_acquire) ||
-                       stopping_.load(std::memory_order_acquire);
-              });
-          if (!woke) {
-            // Idle: snapshot the fields under the lock, send outside it.
-            Heartbeat beat;
-            beat.site_id = config_.site_id;
-            beat.current_epoch = stats_.current_epoch;
-            beat.spooled_epochs = 0;
-            beat.dropped_epochs = stats_.epochs_dropped;
-            lock.unlock();
-            const std::uint64_t sent_ns = obs::steady_now_ns();
-            if (!socket->send_all(
-                    encode_frame(MsgType::kHeartbeat, beat.encode())))
-              return io_error();
-            if (peer_version >= 3) {
-              // A v3 collector acks heartbeats (epoch 0), turning frames
-              // we already exchange into a free network-RTT probe.
-              const auto beat_ack = await_ack();
-              if (!beat_ack) return io_error();
-              if (beat_ack->epoch != 0)
-                throw WireError("agent: heartbeat ack carries an epoch");
-              if (obs::recording())
-                obs::AgentMetrics::get().heartbeat_rtt_ns.observe(
-                    obs::steady_now_ns() - sent_ns);
-            }
-          }
-          continue;
-        }
-        head = spool_.front();
-      }
-
-      SnapshotDelta delta;
-      delta.site_id = config_.site_id;
-      delta.epoch = head->epoch;
-      delta.updates = head->updates;
-      delta.seal_unix_ns = head->seal_unix_ns;
-      delta.seal_steady_ns = head->seal_steady_ns;
-      delta.spool_unix_ns = head->spool_unix_ns;
-      delta.ship_unix_ns = obs::unix_now_ns();  // fresh per send attempt
-      delta.sketch_blob = head->blob;
-      // Speak the collector's dialect: a v2 peer gets a v2 payload (no
-      // timestamps) in a v2 frame.
-      const std::uint8_t wire_version =
-          peer_version < kWireVersion ? peer_version : kWireVersion;
-      if (obs::recording())
-        obs::TraceMetrics::get().observe_span(obs::TraceStage::kShipped,
-                                              delta.spool_unix_ns,
-                                              delta.ship_unix_ns);
-      if (!socket->send_all(encode_frame(MsgType::kSnapshotDelta,
-                                         delta.encode(wire_version),
-                                         wire_version)))
-        return io_error();
-      const auto ack = await_ack();
-      if (!ack) return io_error();
-      if (ack->status == AckStatus::kRejected) return false;
-      if (ack->epoch != head->epoch)
-        throw WireError("agent: ack for unexpected epoch");
-      if (ack->status == AckStatus::kWrongShard) {
-        // A reshard moved our shard away mid-connection. The delta stays
-        // spooled (NOT popped); adopt the pushed map and reconnect to the
-        // new owner, which re-ships it there.
-        adopt_map(*ack);
-        connect_failures_ = 0;
-        backoff_ms_ = 0;
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.rehomes;
-          stats_.connected = false;
-        }
-        if (obs::recording()) obs::FederationMetrics::get().rehomes.inc();
-        return true;
-      }
-      if (ack->status == AckStatus::kRetryLater) {
-        // The collector shed this delta under overload. Honor the
-        // retry_after contract: keep the epoch at the head of the spool
-        // (nothing is lost) and wait before re-shipping. The hint is
-        // clamped so a byzantine collector can neither make us spin
-        // (floor 1 ms) nor wedge us forever (ceiling backoff_max_ms),
-        // and the wait wakes immediately on stop().
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.nacks;
-        }
-        if (obs::recording()) obs::AgentMetrics::get().nacks.inc();
-        const std::uint64_t wait_ms = std::min<std::uint64_t>(
-            std::max<std::uint32_t>(ack->retry_after_ms, 1),
-            config_.backoff_max_ms);
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait_for(lock, std::chrono::milliseconds(wait_ms),
-                     [&] { return !running_.load(std::memory_order_acquire); });
-        continue;
-      }
-      if (obs::recording()) {
-        obs::EpochTrace trace;
-        trace.site_id = config_.site_id;
-        trace.epoch = delta.epoch;
-        trace.updates = delta.updates;
-        trace.bytes = delta.sketch_blob.size();
-        trace.stamp(obs::TraceStage::kSealed) = delta.seal_unix_ns;
-        trace.stamp(obs::TraceStage::kSpooled) = delta.spool_unix_ns;
-        trace.stamp(obs::TraceStage::kShipped) = delta.ship_unix_ns;
-        trace_ring_.push(trace);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!spool_.empty() && spool_.front().epoch == head->epoch)
-          spool_.pop_front();
-        ++stats_.epochs_shipped;
-        stats_.spool_depth = spool_.size();
-        if (obs::recording()) {
-          obs::AgentMetrics::get().epochs_shipped.inc();
-          obs::AgentMetrics::get().spool_depth.set(
-              static_cast<std::int64_t>(spool_.size()));
-        }
-      }
-      cv_.notify_all();
-    }
-
-    if (stopping_.load(std::memory_order_acquire)) {
-      Bye bye;
-      bye.site_id = config_.site_id;
-      socket->send_all(encode_frame(MsgType::kBye, bye.encode()));
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.connected = false;
-    return true;
-  } catch (const WireError&) {
-    // Garbage from the collector side: drop the connection and retry.
-    return io_error();
-  }
+  const Shipper::Stats shipped = shipper_.stats();
+  Stats stats;
+  stats.epochs_sealed = epochs_sealed_.load();
+  stats.epochs_shipped =
+      shipped.acked + shipped.duplicates + shipped.resume_skips;
+  stats.epochs_dropped = epochs_dropped_.load();
+  stats.resume_skips = shipped.resume_skips;
+  stats.nacks = shipped.nacks;
+  stats.reconnects = shipped.reconnects;
+  stats.io_errors = shipped.io_errors;
+  stats.rehomes = shipped.rehomes;
+  stats.map_version = map_version_.load();
+  stats.spool_depth = shipped.spool_depth;
+  stats.current_epoch = config_.first_epoch + stats.epochs_sealed;
+  stats.connected = shipped.connected;
+  stats.rejected = shipped.rejected;
+  return stats;
 }
 
 }  // namespace dcs::service

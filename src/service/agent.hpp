@@ -3,37 +3,28 @@
 // Wraps the existing ingest path (a local DistinctCountSketch) and, every
 // `epoch_updates` flow updates, seals the accumulated sketch into an
 // immutable per-epoch delta, serializes it (CRC-footered), and queues it on
-// a bounded spool. A background sender thread ships spooled deltas to the
-// collector and only pops one after the collector's Ack — so a connection
-// drop mid-flight retransmits, and the collector's epoch dedup makes the
-// retransmit harmless.
+// the spool of a Shipper (shipper.hpp), whose sender thread ships it to the
+// collector and pops it only after the collector's Ack.
 //
 // Collector outages: the agent keeps ingesting and sealing; the spool
 // absorbs up to `spool_epochs` deltas, after which the *oldest* is dropped
-// (newest data is most valuable for detection) and counted. Reconnection
-// uses exponential backoff with jitter so a fleet of agents does not
-// reconnect in lockstep. All degraded-mode accounting (sealed / shipped /
-// dropped / reconnects / spool depth) is exported via obs and carried in
-// Hello/Heartbeat messages so the collector sees it too.
+// (newest data is most valuable for detection) and counted. All
+// degraded-mode accounting (sealed / shipped / dropped / reconnects / spool
+// depth) is exported via obs and carried in Hello/Heartbeat messages so the
+// collector sees it too.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
 
-#include "common/random.hpp"
 #include "obs/trace.hpp"
 #include "service/federation/shard_map.hpp"
+#include "service/shipper.hpp"
 #include "sketch/distinct_count_sketch.hpp"
 #include "stream/flow_update.hpp"
 
 namespace dcs::service {
-
-struct Ack;  // wire.hpp
 
 struct SiteAgentConfig {
   std::uint64_t site_id = 1;
@@ -59,10 +50,9 @@ struct SiteAgentConfig {
   std::uint64_t first_epoch = 1;
   /// Max sealed-but-unacked deltas held; beyond this the oldest is dropped.
   std::size_t spool_epochs = 64;
+  /// Reconnect backoff: doubles from initial to max, jittered ±20%.
   std::uint64_t backoff_initial_ms = 50;
   std::uint64_t backoff_max_ms = 2000;
-  /// Uniform jitter fraction applied to each backoff delay (0..1).
-  double backoff_jitter = 0.2;
   /// Send a Heartbeat after this long with nothing to ship.
   std::uint64_t heartbeat_interval_ms = 500;
   int io_timeout_ms = 2000;
@@ -105,13 +95,13 @@ class SiteAgent {
   explicit SiteAgent(SiteAgentConfig config);
   /// Abrupt teardown: no Bye, no flush — indistinguishable from a crash on
   /// the collector side. Call stop() first for a graceful exit.
-  ~SiteAgent();
+  ~SiteAgent() = default;
 
   SiteAgent(const SiteAgent&) = delete;
   SiteAgent& operator=(const SiteAgent&) = delete;
 
   /// Start the sender thread. Idempotent until stop().
-  void start();
+  void start() { shipper_.start(); }
   /// Graceful stop: stops sealing, attempts to drain the spool within
   /// `drain_timeout_ms`, sends Bye if connected, joins the sender.
   void stop(int drain_timeout_ms = 2000);
@@ -136,58 +126,31 @@ class SiteAgent {
   std::vector<obs::EpochTrace> traces() const { return trace_ring_.snapshot(); }
 
  private:
-  struct SpooledEpoch {
-    std::uint64_t epoch = 0;
-    std::uint64_t updates = 0;
-    // Origin stamps carried on the wire (v3) so the collector can compute
-    // end-to-end freshness for this epoch.
-    std::uint64_t seal_unix_ns = 0;
-    std::uint64_t seal_steady_ns = 0;
-    std::uint64_t spool_unix_ns = 0;
-    std::string blob;  ///< Serialized sketch delta.
-  };
-
-  void sender_loop();
-  /// One connection lifetime: connect, Hello, ship/heartbeat until error or
-  /// shutdown. Returns false if the collector rejected us (permanent).
-  bool run_connection();
-  std::uint64_t next_backoff_ms();
-  /// Where the next connection goes: the mapped leaf, or the seed endpoint
-  /// when unsharded / falling back after repeated connect failures.
-  void pick_target(std::string& host, std::uint16_t& port);
-  /// Adopt the map carried in `ack` if it is strictly newer than ours.
-  /// Returns true when adoption moved our shard to a different endpoint.
-  bool adopt_map(const Ack& ack);
+  ShipperConfig shipper_config();
 
   SiteAgentConfig config_;
 
   // Ingest state — touched only by the ingesting thread.
   DistinctCountSketch current_;
   std::uint64_t current_updates_ = 0;
-  std::uint64_t current_epoch_;
 
-  std::thread sender_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};  ///< Graceful stop requested.
+  // Written by the ingesting thread under the shipper's spool lock, so a
+  // Hello sees them consistent with the spool; atomic so stats() reads them
+  // without it. The epoch now accumulating is first_epoch + epochs_sealed_.
+  std::atomic<std::uint64_t> epochs_sealed_{0};
+  std::atomic<std::uint64_t> epochs_dropped_{0};
 
-  mutable std::mutex mutex_;           ///< Guards spool_ and stats_.
-  std::condition_variable cv_;
-  std::deque<SpooledEpoch> spool_;
-  Stats stats_;
-
-  Xoshiro256 jitter_;
-  std::uint64_t backoff_ms_ = 0;
-
-  // Federation state — touched only by the sender thread (stats_.map_version
+  // Federation state — touched only by the sender thread (map_version_
   // mirrors the adopted version for stats() readers).
   ShardMap shard_map_;
-  /// Consecutive failed connects to the *mapped* leaf; at
-  /// kSeedFallbackAfter the agent tries the seed endpoint instead, which
-  /// re-bootstraps the map via kWrongShard if the shard moved.
+  std::atomic<std::uint32_t> map_version_{0};
+  /// After this many consecutive failed connects to the *mapped* leaf the
+  /// agent tries the seed endpoint instead, which re-bootstraps the map via
+  /// kWrongShard if the shard moved.
   static constexpr std::uint32_t kSeedFallbackAfter = 2;
-  std::uint32_t connect_failures_ = 0;
 
   obs::TraceRing trace_ring_;
+  Shipper shipper_;  ///< Last: its sender thread uses every member above.
 };
 
 }  // namespace dcs::service

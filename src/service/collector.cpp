@@ -546,9 +546,7 @@ std::string Collector::handle_delta(PeerState& peer, std::uint8_t version,
   // cannot take the delta, shed honestly — the agent keeps it spooled and
   // re-ships, so backpressure propagates to the edge instead of dropping
   // relays (the root would see a permanent gap).
-  if (config_.delta_tap &&
-      !config_.delta_tap(delta.site_id, delta.epoch, delta.updates,
-                         delta.sketch_blob, /*replay=*/false)) {
+  if (config_.delta_tap && !config_.delta_tap(delta, /*replay=*/false)) {
     ack.status = AckStatus::kRetryLater;
     ack.retry_after_ms = config_.tap_retry_after_ms;
     ++totals_.tap_shed_deltas;
@@ -795,8 +793,8 @@ void Collector::recover() {
   // detector over the exact observe() sequence of the uninterrupted run.
   for (const std::uint64_t gen : store_->journal_generations()) {
     if (gen < replay_from) continue;
-    const auto replayed = EpochJournal::replay(store_->journal_path(gen));
-    for (const EpochJournal::Record& record : replayed.records) {
+    auto replayed = EpochJournal::replay(store_->journal_path(gen));
+    for (EpochJournal::Record& record : replayed.records) {
       SiteStats& site = sites_[record.site_id];
       site.site_id = record.site_id;
       // Gap-aware in root mode: the journal records gap fills in append
@@ -828,9 +826,14 @@ void Collector::recover() {
       // gate guarantees the journal still holds everything un-acked).
       // replay=true makes the spool accept past its soft bound: shedding a
       // replayed record would turn recovery into loss.
-      if (config_.delta_tap)
-        config_.delta_tap(record.site_id, record.epoch, record.updates,
-                          record.sketch_blob, /*replay=*/true);
+      if (config_.delta_tap) {
+        SnapshotDelta relay;  // journal records keep no seal stamps
+        relay.site_id = record.site_id;
+        relay.epoch = record.epoch;
+        relay.updates = record.updates;
+        relay.sketch_blob = std::move(record.sketch_blob);
+        config_.delta_tap(relay, /*replay=*/true);
+      }
       ++totals_.replayed_epochs;
       if (obs::recording())
         obs::CheckpointMetrics::get().replayed_epochs.inc();

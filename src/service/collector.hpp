@@ -151,10 +151,8 @@ struct CollectorConfig {
   /// journal record re-merged during recovery). Returning false sheds the
   /// delta with an honest kRetryLater NACK — uplink backpressure
   /// propagates to the agent's spool instead of dropping relays.
-  std::function<bool(std::uint64_t site_id, std::uint64_t epoch,
-                     std::uint64_t updates, const std::string& sketch_blob,
-                     bool replay)>
-      delta_tap;
+  /// A live delta carries its origin seal stamps; a replayed one has none.
+  std::function<bool(const SnapshotDelta& delta, bool replay)> delta_tap;
   /// retry_after_ms hint on a tap shed (uplink spool full).
   std::uint32_t tap_retry_after_ms = 50;
   /// Checkpoint gate: when set and returning false, checkpoint rotation is

@@ -1,297 +1,52 @@
 #include "service/federation/leaf.hpp"
 
-#include <algorithm>
-#include <chrono>
+#include <stdexcept>
+#include <utility>
 
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
-#include "service/socket.hpp"
-#include "service/wire.hpp"
 
 namespace dcs::service {
 
-LeafUplink::LeafUplink(LeafUplinkConfig config)
-    : config_(std::move(config)), jitter_(config_.jitter_seed) {
-  if (config_.leaf_id == 0)
-    throw std::invalid_argument("LeafUplink: leaf_id must be non-zero");
-  if (config_.spool_deltas == 0)
-    throw std::invalid_argument("LeafUplink: spool_deltas must be > 0");
-}
-
-LeafUplink::~LeafUplink() {
-  running_.store(false, std::memory_order_release);
-  cv_.notify_all();
-  if (sender_.joinable()) sender_.join();
-}
-
-void LeafUplink::start() {
-  if (running_.load(std::memory_order_acquire)) return;
-  running_.store(true, std::memory_order_release);
-  stopping_.store(false, std::memory_order_release);
-  sender_ = std::thread([this] { sender_loop(); });
-}
-
-void LeafUplink::stop(int drain_timeout_ms) {
-  if (!running_.load(std::memory_order_acquire)) return;
-  flush(drain_timeout_ms);
-  stopping_.store(true, std::memory_order_release);
-  cv_.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait_for(lock, std::chrono::milliseconds(drain_timeout_ms),
-                 [&] { return !running_.load(std::memory_order_acquire); });
-  }
-  running_.store(false, std::memory_order_release);
-  cv_.notify_all();
-  if (sender_.joinable()) sender_.join();
-}
-
-bool LeafUplink::offer(std::uint64_t site_id, std::uint64_t epoch,
-                       std::uint64_t updates, const std::string& sketch_blob,
-                       bool force) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!force && spool_.size() >= config_.spool_deltas) {
-      // Backpressure, not loss: the collector NACKs the agent kRetryLater
-      // and the delta stays in the agent's spool.
-      ++stats_.shed_offers;
-      return false;
-    }
-    spool_.push_back({site_id, epoch, updates, sketch_blob});
-    ++stats_.relayed;
-    stats_.spool_depth = spool_.size();
-    if (obs::recording()) {
-      obs::FederationMetrics::get().uplink_relayed.inc();
-      obs::FederationMetrics::get().uplink_spool_depth.set(
-          static_cast<std::int64_t>(spool_.size()));
-    }
-  }
-  cv_.notify_all();
-  return true;
-}
-
-bool LeafUplink::flush(int timeout_ms) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-    return spool_.empty() || stats_.rejected ||
-           !running_.load(std::memory_order_acquire);
-  }) && spool_.empty();
-}
-
-bool LeafUplink::drained() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return spool_.empty();
-}
-
-LeafUplink::Stats LeafUplink::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::uint64_t LeafUplink::next_backoff_ms() {
-  backoff_ms_ = backoff_ms_ == 0
-                    ? config_.backoff_initial_ms
-                    : std::min(backoff_ms_ * 2, config_.backoff_max_ms);
-  const double spread =
-      1.0 + config_.backoff_jitter * (2.0 * jitter_.uniform() - 1.0);
-  return static_cast<std::uint64_t>(static_cast<double>(backoff_ms_) * spread);
-}
-
-void LeafUplink::sender_loop() {
-  bool first_attempt = true;
-  while (running_.load(std::memory_order_acquire)) {
-    if (!first_attempt) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.reconnects;
-      }
-      if (obs::recording())
-        obs::FederationMetrics::get().uplink_reconnects.inc();
-      const auto delay = std::chrono::milliseconds(next_backoff_ms());
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait_for(lock, delay,
-                   [&] { return !running_.load(std::memory_order_acquire); });
-      if (!running_.load(std::memory_order_acquire)) break;
-    }
-    first_attempt = false;
-    if (!run_connection()) {
-      // Parameter mismatch at the root: retrying can never succeed.
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.rejected = true;
-      cv_.notify_all();
-      break;
-    }
-    if (stopping_.load(std::memory_order_acquire)) break;
-  }
-  running_.store(false, std::memory_order_release);
-  cv_.notify_all();
-}
-
-bool LeafUplink::run_connection() {
-  auto socket = tcp_connect(config_.root_host, config_.root_port,
-                            config_.io_timeout_ms);
-  if (!socket) return true;  // unreachable — back off and retry
-  socket->set_timeouts(static_cast<std::uint64_t>(config_.io_timeout_ms),
-                       static_cast<std::uint64_t>(config_.io_timeout_ms));
-
-  FrameDecoder decoder;
-  char buffer[16 * 1024];
-  const auto io_error = [&] {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.io_errors;
-    stats_.connected = false;
-    return true;
-  };
-
-  std::uint8_t peer_version = kWireVersion;
-  const auto await_ack = [&]() -> std::optional<Ack> {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(config_.io_timeout_ms);
-    for (;;) {
-      if (auto frame = decoder.next()) {
-        if (frame->type != MsgType::kAck)
-          throw WireError("leaf uplink: expected Ack");
-        peer_version = frame->version;
-        return Ack::decode(frame->payload, frame->version);
-      }
-      if (!running_.load(std::memory_order_acquire) ||
-          std::chrono::steady_clock::now() >= deadline)
-        return std::nullopt;
-      const RecvResult got = socket->recv_some(buffer, sizeof buffer);
-      if (got.closed || got.error) return std::nullopt;
-      if (got.bytes > 0) decoder.feed(buffer, got.bytes);
-    }
-  };
-
-  try {
-    Hello hello;
-    hello.site_id = config_.leaf_id;
-    hello.role = PeerRole::kLeaf;
-    hello.params_fingerprint = config_.params.fingerprint();
-    if (!socket->send_all(encode_frame(MsgType::kHello, hello.encode())))
-      return io_error();
-    const auto hello_ack = await_ack();
-    if (!hello_ack) return io_error();
-    if (hello_ack->status == AckStatus::kRejected) return false;
-    // The Hello-ack resume watermark is meaningless for a multiplexed
-    // uplink (it would be the *leaf id's* watermark, not any origin
-    // site's): everything spooled is re-shipped and the root's per-site
-    // dedup answers kDuplicate for what it already merged.
-
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.connected = true;
-    }
-    backoff_ms_ = 0;
-
-    while (running_.load(std::memory_order_acquire)) {
-      std::optional<Relayed> head;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (spool_.empty()) {
-          if (stopping_.load(std::memory_order_acquire)) break;
-          const bool woke = cv_.wait_for(
-              lock, std::chrono::milliseconds(config_.heartbeat_interval_ms),
-              [&] {
-                return !spool_.empty() ||
-                       !running_.load(std::memory_order_acquire) ||
-                       stopping_.load(std::memory_order_acquire);
-              });
-          if (!woke) {
-            Heartbeat beat;
-            beat.site_id = config_.leaf_id;
-            lock.unlock();
-            if (!socket->send_all(
-                    encode_frame(MsgType::kHeartbeat, beat.encode())))
-              return io_error();
-            if (peer_version >= 3) {
-              const auto beat_ack = await_ack();
-              if (!beat_ack) return io_error();
-              if (beat_ack->epoch != 0)
-                throw WireError("leaf uplink: heartbeat ack carries an epoch");
-            }
-          }
-          continue;
-        }
-        head = spool_.front();
-      }
-
-      SnapshotDelta delta;
-      delta.site_id = head->site_id;  // origin site, not the leaf id
-      delta.epoch = head->epoch;
-      delta.updates = head->updates;
-      delta.ship_unix_ns = obs::unix_now_ns();
-      delta.sketch_blob = head->blob;
-      const std::uint8_t wire_version =
-          peer_version < kWireVersion ? peer_version : kWireVersion;
-      if (!socket->send_all(encode_frame(MsgType::kSnapshotDelta,
-                                         delta.encode(wire_version),
-                                         wire_version)))
-        return io_error();
-      const auto ack = await_ack();
-      if (!ack) return io_error();
-      if (ack->status == AckStatus::kRejected) return false;
-      if (ack->epoch != head->epoch)
-        throw WireError("leaf uplink: ack for unexpected epoch");
-      if (ack->status == AckStatus::kWrongShard)
-        throw WireError("leaf uplink: root answered kWrongShard");
-      if (ack->status == AckStatus::kRetryLater) {
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.nacks;
-        }
-        if (obs::recording())
-          obs::FederationMetrics::get().uplink_nacks.inc();
-        const std::uint64_t wait_ms = std::min<std::uint64_t>(
-            std::max<std::uint32_t>(ack->retry_after_ms, 1),
-            config_.backoff_max_ms);
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait_for(lock, std::chrono::milliseconds(wait_ms),
-                     [&] { return !running_.load(std::memory_order_acquire); });
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!spool_.empty() && spool_.front().epoch == head->epoch &&
-            spool_.front().site_id == head->site_id)
-          spool_.pop_front();
-        if (ack->status == AckStatus::kDuplicate)
-          ++stats_.root_duplicates;
-        else
-          ++stats_.root_acks;
-        stats_.spool_depth = spool_.size();
-        if (obs::recording()) {
-          obs::FederationMetrics::get().uplink_acked.inc();
-          obs::FederationMetrics::get().uplink_spool_depth.set(
-              static_cast<std::int64_t>(spool_.size()));
-        }
-      }
-      cv_.notify_all();
-    }
-
-    if (stopping_.load(std::memory_order_acquire)) {
-      Bye bye;
-      bye.site_id = config_.leaf_id;
-      socket->send_all(encode_frame(MsgType::kBye, bye.encode()));
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.connected = false;
-    return true;
-  } catch (const WireError&) {
-    return io_error();
-  }
-}
-
 namespace {
+
+ShipperConfig uplink_shipper_config(const LeafUplinkConfig& config) {
+  obs::FederationMetrics& metrics = obs::FederationMetrics::get();
+  ShipperConfig ship;
+  ship.role = PeerRole::kLeaf;
+  ship.peer_id = config.leaf_id;
+  ship.params_fingerprint = config.params.fingerprint();
+  ship.host = config.root_host;
+  ship.port = config.root_port;
+  // Distinct jitter stream per leaf so a fleet of leaves reconnecting to a
+  // restarted root spreads out.
+  ship.jitter_seed = 0x1eafULL ^ config.leaf_id;
+  // role = kLeaf: no resume pruning — everything spooled is re-shipped and
+  // the root's per-site dedup answers kDuplicate for what it already
+  // merged. No adopt_map: a root owns no shards, so kWrongShard from it is
+  // a wire error.
+  ship.metrics = {.shipped = &metrics.uplink_acked,
+                  .nacks = &metrics.uplink_nacks,
+                  .reconnects = &metrics.uplink_reconnects,
+                  .spool_depth = &metrics.uplink_spool_depth};
+  return ship;
+}
 
 CollectorConfig wire_leaf_collector(CollectorConfig config,
                                     LeafUplink& uplink) {
   // The tap and the gate are the two hooks that make a Collector a leaf:
   // every accepted delta is relayed, and the journal outlives the relays.
-  config.delta_tap = [&uplink](std::uint64_t site_id, std::uint64_t epoch,
-                               std::uint64_t updates, const std::string& blob,
-                               bool replay) {
-    return uplink.offer(site_id, epoch, updates, blob, /*force=*/replay);
+  // The live delta's seal stamps ride along so the root measures
+  // freshness from the origin seal; a journal replay's are zero.
+  config.delta_tap = [&uplink](const SnapshotDelta& delta, bool replay) {
+    return uplink.offer({.site_id = delta.site_id,
+                         .epoch = delta.epoch,
+                         .updates = delta.updates,
+                         .seal_unix_ns = delta.seal_unix_ns,
+                         .seal_steady_ns = delta.seal_steady_ns,
+                         .spool_unix_ns = delta.spool_unix_ns,
+                         .blob = delta.sketch_blob},
+                        /*force=*/replay);
   };
   config.checkpoint_gate = [&uplink] { return uplink.drained(); };
   return config;
@@ -304,15 +59,52 @@ LeafUplinkConfig uplink_config_of(const LeafCollectorConfig& config) {
   uplink.root_port = config.root_port;
   uplink.params = config.collector.params;
   uplink.spool_deltas = config.uplink_spool;
-  uplink.io_timeout_ms = static_cast<int>(config.uplink_io_timeout_ms);
-  uplink.heartbeat_interval_ms = config.uplink_heartbeat_interval_ms;
-  // Distinct jitter stream per leaf so a fleet of leaves reconnecting to a
-  // restarted root spreads out.
-  uplink.jitter_seed = 0x1eafULL ^ config.collector.leaf_id;
   return uplink;
 }
 
+
 }  // namespace
+
+LeafUplink::LeafUplink(LeafUplinkConfig config)
+    : config_(std::move(config)), shipper_(uplink_shipper_config(config_)) {
+  if (config_.leaf_id == 0)
+    throw std::invalid_argument("LeafUplink: leaf_id must be non-zero");
+  if (config_.spool_deltas == 0)
+    throw std::invalid_argument("LeafUplink: spool_deltas must be > 0");
+}
+
+bool LeafUplink::offer(SpooledDelta delta, bool force) {
+  bool accepted = false;
+  shipper_.with_spool([&](Shipper::Spool& spool) {
+    if (!force && spool.size() >= config_.spool_deltas) {
+      // Backpressure, not loss: the collector NACKs the agent kRetryLater
+      // and the delta stays in the agent's spool.
+      ++shed_offers_;
+      return;
+    }
+    spool.push_back(std::move(delta));
+    ++relayed_;
+    accepted = true;
+    if (obs::recording()) obs::FederationMetrics::get().uplink_relayed.inc();
+  });
+  return accepted;
+}
+
+LeafUplink::Stats LeafUplink::stats() const {
+  const Shipper::Stats shipped = shipper_.stats();
+  Stats stats;
+  stats.relayed = relayed_.load();
+  stats.root_acks = shipped.acked;
+  stats.root_duplicates = shipped.duplicates;
+  stats.nacks = shipped.nacks;
+  stats.shed_offers = shed_offers_.load();
+  stats.reconnects = shipped.reconnects;
+  stats.io_errors = shipped.io_errors;
+  stats.spool_depth = shipped.spool_depth;
+  stats.connected = shipped.connected;
+  stats.rejected = shipped.rejected;
+  return stats;
+}
 
 LeafCollector::LeafCollector(LeafCollectorConfig config)
     : uplink_(uplink_config_of(config)),

@@ -28,15 +28,11 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
 
-#include "common/random.hpp"
 #include "service/collector.hpp"
+#include "service/shipper.hpp"
 
 namespace dcs::service {
 
@@ -53,19 +49,12 @@ struct LeafUplinkConfig {
   /// bypass the bound — shedding a journal replay would turn recovery into
   /// loss.
   std::size_t spool_deltas = 4096;
-  std::uint64_t backoff_initial_ms = 50;
-  std::uint64_t backoff_max_ms = 2000;
-  double backoff_jitter = 0.2;
-  std::uint64_t heartbeat_interval_ms = 500;
-  int io_timeout_ms = 2000;
-  std::uint64_t jitter_seed = 0x1eafULL;
 };
 
-/// The leaf's sender half: an ack-gated FIFO of relayed deltas shipped to
-/// the root over one role=kLeaf connection. Mirrors SiteAgent's spool
-/// discipline (pop only on ack, reconnect with jittered backoff, Bye on
-/// graceful stop) but carries *other* sites' deltas, preserving each origin
-/// site id and epoch so the root can dedup per (site, epoch).
+/// The leaf's sender half: a Shipper (shipper.hpp) of relayed deltas to the
+/// root over one role=kLeaf connection. The deltas are *other* sites': each
+/// keeps its origin site id, epoch and seal stamps, so the root dedups per
+/// (site, epoch) and measures freshness from the origin seal.
 class LeafUplink {
  public:
   struct Stats {
@@ -86,56 +75,44 @@ class LeafUplink {
   explicit LeafUplink(LeafUplinkConfig config);
   /// Abrupt teardown: no Bye, no drain; spooled relays die with the
   /// process image. Crash recovery re-creates them from the leaf journal.
-  ~LeafUplink();
+  ~LeafUplink() = default;
 
   LeafUplink(const LeafUplink&) = delete;
   LeafUplink& operator=(const LeafUplink&) = delete;
 
-  void start();
+  void start() { shipper_.start(); }
   /// Graceful: drain the spool (bounded by drain_timeout_ms), Bye, join.
-  void stop(int drain_timeout_ms = 2000);
+  void stop(int drain_timeout_ms = 2000) { shipper_.stop(drain_timeout_ms); }
 
   /// Enqueue one delta for relay. Returns false — without enqueueing —
   /// when the spool is at capacity and `force` is false; the caller (the
   /// collector's delta tap) turns that into a kRetryLater NACK upstream.
   /// `force` is for recovery replay, which must never shed.
+  bool offer(SpooledDelta delta, bool force);
+  /// offer() for a delta without seal stamps.
   bool offer(std::uint64_t site_id, std::uint64_t epoch, std::uint64_t updates,
-             const std::string& sketch_blob, bool force);
+             const std::string& sketch_blob, bool force) {
+    return offer(SpooledDelta{.site_id = site_id,
+                              .epoch = epoch,
+                              .updates = updates,
+                              .blob = sketch_blob},
+                 force);
+  }
 
   /// Block until the spool drains (every relay root-acked) or timeout.
-  bool flush(int timeout_ms);
+  bool flush(int timeout_ms) { return shipper_.flush(timeout_ms); }
   /// True when nothing is spooled awaiting a root ack — the leaf
   /// collector's checkpoint gate (safe to fold the journal away).
-  bool drained() const;
+  bool drained() const { return shipper_.drained(); }
 
   Stats stats() const;
   const LeafUplinkConfig& config() const noexcept { return config_; }
 
  private:
-  struct Relayed {
-    std::uint64_t site_id = 0;
-    std::uint64_t epoch = 0;
-    std::uint64_t updates = 0;
-    std::string blob;
-  };
-
-  void sender_loop();
-  bool run_connection();
-  std::uint64_t next_backoff_ms();
-
   LeafUplinkConfig config_;
-
-  std::thread sender_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-
-  mutable std::mutex mutex_;  ///< Guards spool_ and stats_.
-  mutable std::condition_variable cv_;
-  std::deque<Relayed> spool_;
-  Stats stats_;
-
-  Xoshiro256 jitter_;
-  std::uint64_t backoff_ms_ = 0;
+  std::atomic<std::uint64_t> relayed_{0};
+  std::atomic<std::uint64_t> shed_offers_{0};
+  Shipper shipper_;
 };
 
 struct LeafCollectorConfig {
@@ -147,8 +124,6 @@ struct LeafCollectorConfig {
   std::uint16_t root_port = 0;
   /// Uplink spool bound (see LeafUplinkConfig::spool_deltas).
   std::size_t uplink_spool = 4096;
-  std::uint64_t uplink_io_timeout_ms = 2000;
-  std::uint64_t uplink_heartbeat_interval_ms = 500;
 };
 
 /// One leaf: a Collector wired to a LeafUplink. Construction order is the

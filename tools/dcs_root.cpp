@@ -70,8 +70,9 @@ void print_usage() {
       "  --metrics-out FILE    write a metrics snapshot on exit\n"
       "  --metrics-format F    prom|json (default prom)\n"
       "  --metrics-every SEC   rewrite --metrics-out every SEC seconds\n"
-      "  --ops-port N          serve the HTTP ops plane on this port\n"
-      "                        (0 = ephemeral; omit = disabled)\n"
+      "  --ops-port N          serve the HTTP ops plane (/metrics,\n"
+      "                        /metrics.json, /healthz, /traces) on this\n"
+      "                        port (0 = ephemeral; omit = disabled)\n"
       "  --ops-port-file FILE  atomically publish the bound ops port\n"
       "  --help                print this help\n");
 }
@@ -175,6 +176,12 @@ int main(int argc, char** argv) {
         obs::HttpResponse response;
         response.content_type = "application/json";
         response.body = root_healthz_json(collector);
+        return response;
+      });
+      ops_server->route("/traces", [&collector] {
+        obs::HttpResponse response;
+        response.content_type = "application/json";
+        response.body = obs::traces_to_json(collector.traces());
         return response;
       });
       ops_server->start();
