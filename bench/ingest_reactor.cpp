@@ -1,22 +1,19 @@
-// Ingest-path transport comparison: thread-per-connection vs the epoll
-// reactor, on the same workload through the same merge path.
+// Collector ingest transport (the epoll reactor) under a population of
+// concurrent raw protocol peers.
 //
-//   build/bench/ingest_reactor [--peers 64] [--epochs 4]
-//                              [--reactor-workers 2] [--updates 1000]
+//   build/bench/ingest_reactor [--peers 64] [--epochs 4] [--updates 1000]
 //
-// For each mode the harness measures two things:
+// The harness measures two things:
 //
 //   hello rtt   connect + Hello + ack round-trip per peer, taken while the
 //               population ramps up — the accept-path latency an agent
 //               joining a busy collector actually experiences. The p99 is
-//               the gated figure: accept stalls are what thread-per-
-//               connection hides (a blocked accept loop) and what the
-//               reactor's non-blocking acceptor exists to bound.
+//               the gated figure: it is what the reactor's non-blocking
+//               acceptor exists to bound.
 //   throughput  peers * epochs stop-and-wait delta round-trips shipped by
 //               concurrent clients, as merged deltas per second. Merges
-//               serialize on the state lock either way, so the modes should
-//               be comparable — the reactor must not tax the common path
-//               for its concurrency headroom.
+//               serialize on the state lock, so this is the transport plus
+//               merge path, not the transport alone.
 //
 // Every round-trip is acked, and the bench asserts all peers * epochs
 // deltas merged before reporting — a number produced while dropping deltas
@@ -68,23 +65,21 @@ struct Peer {
   }
 };
 
-struct ModeResult {
+struct IngestResult {
   bench::TimingSummary hello_us;
   double deltas_per_sec = 0.0;
   bool ok = false;
 };
 
-ModeResult run_mode(bool use_reactor, int reactor_workers, std::size_t peers,
-                    std::uint64_t epochs, const std::string& blob) {
-  ModeResult result;
+IngestResult run_ingest(std::size_t peers, std::uint64_t epochs,
+                        const std::string& blob) {
+  IngestResult result;
   const DcsParams params = bench_params();
 
   CollectorConfig config;
   config.params = params;
   config.run_detection = false;  // isolate the transport + merge path
   config.io_timeout_ms = 25;
-  config.use_reactor = use_reactor;
-  config.reactor_workers = reactor_workers;
   Collector collector(config);
   collector.start();
   const std::uint16_t port = collector.port();
@@ -162,20 +157,13 @@ ModeResult run_mode(bool use_reactor, int reactor_workers, std::size_t peers,
   collector.stop();
 
   if (failed.load() || !merged_all) {
-    std::fprintf(stderr, "ingest_reactor: %s mode lost deltas\n",
-                 use_reactor ? "reactor" : "threaded");
+    std::fprintf(stderr, "ingest_reactor: lost deltas\n");
     return result;
   }
   result.deltas_per_sec =
       elapsed_s > 0.0 ? static_cast<double>(expected) / elapsed_s : 0.0;
   result.ok = true;
   return result;
-}
-
-void print_mode(const char* name, const ModeResult& mode) {
-  bench::print_row({name, bench::format_double(mode.deltas_per_sec),
-                    bench::format_double(mode.hello_us.p50),
-                    bench::format_double(mode.hello_us.p99)});
 }
 
 }  // namespace
@@ -185,15 +173,14 @@ int main(int argc, char** argv) {
   const auto peers = static_cast<std::size_t>(options.integer("peers", 64));
   const auto epochs =
       static_cast<std::uint64_t>(options.integer("epochs", 4));
-  const int reactor_workers =
-      static_cast<int>(options.integer("reactor-workers", 2));
   const auto updates =
       static_cast<std::uint64_t>(options.integer("updates", 1000));
 
   bench::JsonReport report = bench::make_report("ingest_reactor", options);
   report.meta("peers", static_cast<double>(peers));
   report.meta("epochs", static_cast<double>(epochs));
-  report.meta("reactor_workers", static_cast<double>(reactor_workers));
+  report.meta("reactor_workers",
+              static_cast<double>(default_reactor_workers()));
 
   // One realistic shared blob: enough distinct pairs to allocate several
   // sketch levels, so each merge costs what a real epoch's merge costs.
@@ -208,36 +195,23 @@ int main(int argc, char** argv) {
   try {
     std::printf("== ingest transport (peers=%zu epochs=%llu) ==\n", peers,
                 static_cast<unsigned long long>(epochs));
-    const ModeResult threaded =
-        run_mode(/*use_reactor=*/false, reactor_workers, peers, epochs, blob);
-    const ModeResult reactor =
-        run_mode(/*use_reactor=*/true, reactor_workers, peers, epochs, blob);
-    if (!threaded.ok || !reactor.ok) return 1;
+    const IngestResult reactor = run_ingest(peers, epochs, blob);
+    if (!reactor.ok) return 1;
 
     bench::print_row({"mode", "deltas/s", "hello p50 us", "hello p99 us"});
-    print_mode("threaded", threaded);
-    print_mode("reactor", reactor);
-    const double speedup = threaded.deltas_per_sec > 0.0
-                               ? reactor.deltas_per_sec / threaded.deltas_per_sec
-                               : 0.0;
-    std::printf("\nreactor/threaded throughput: %sx\n",
-                bench::format_double(speedup, 3).c_str());
+    bench::print_row({"reactor", bench::format_double(reactor.deltas_per_sec),
+                      bench::format_double(reactor.hello_us.p50),
+                      bench::format_double(reactor.hello_us.p99)});
 
     using bench::Direction;
     // Loopback round-trips on a shared single-core runner swing wildly;
     // generous explicit noise keeps the regression gate meaningful without
     // tripping on scheduler weather.
-    report.metric("threaded", "deltas_per_sec", threaded.deltas_per_sec,
-                  Direction::kHigherIsBetter, 40.0);
     report.metric("reactor", "deltas_per_sec", reactor.deltas_per_sec,
                   Direction::kHigherIsBetter, 40.0);
-    report.metric("threaded", "hello_rtt_us",
-                  bench::summary_metric(threaded.hello_us,
-                                        Direction::kLowerIsBetter, 60.0));
     report.metric("reactor", "hello_rtt_us",
                   bench::summary_metric(reactor.hello_us,
                                         Direction::kLowerIsBetter, 60.0));
-    report.value("compare", "reactor_speedup", speedup);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "ingest_reactor: %s\n", error.what());
     return 1;

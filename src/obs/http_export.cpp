@@ -151,8 +151,11 @@ void HttpServer::start() {
 
 void HttpServer::stop() {
   if (!running_.exchange(false)) return;
-  listener_.close();  // wakes the accept loop's next poll
+  // Join before closing: serve_loop reads the listener fd until it sees
+  // running_ false, which its 100 ms accept poll bounds. Closing first would
+  // race that read and free the fd number for reuse under it.
   if (thread_.joinable()) thread_.join();
+  listener_.close();
 }
 
 void HttpServer::serve_loop() {

@@ -22,7 +22,7 @@
 // Determinism for tests: every decision takes an explicit time_point, so
 // unit tests drive a synthetic clock and the chaos harness stays seeded
 // and reproducible. The controller does its own locking and is safe to
-// call from all connection threads.
+// call from every reactor worker.
 #pragma once
 
 #include <chrono>

@@ -8,7 +8,6 @@
 
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
-#include "service/reactor.hpp"
 #include "service/wire.hpp"
 
 namespace dcs::service {
@@ -21,69 +20,22 @@ DistinctCountSketch decode_sketch_blob(const std::string& blob) {
   return DistinctCountSketch::deserialize(reader);
 }
 
+ReactorConfig reactor_config(const CollectorConfig& config) {
+  ReactorConfig out;
+  out.workers = config.reactor_workers;
+  out.tick_ms = config.io_timeout_ms;
+  out.frame_deadline_ms = config.frame_deadline_ms;
+  out.idle_timeout_ms = config.idle_timeout_ms;
+  out.max_frame_bytes = config.max_frame_bytes;
+  return out;
+}
+
 }  // namespace
-
-/// One accepted site connection: its socket, decoder, and the thread that
-/// serves it. shared_ptr because stop() (holding conn_mutex_) and the
-/// serving thread both touch it.
-struct Collector::Connection {
-  TcpSocket socket;
-  FrameDecoder decoder;
-  std::thread thread;
-  /// Transport-agnostic protocol state (see wire.hpp) — the same struct
-  /// the reactor keeps per connection, handed to the same handle_frame().
-  PeerState peer;
-  /// Set by serve() on exit so the accept loop can reap the thread.
-  std::atomic<bool> done{false};
-};
-
-/// The reactor's view of the collector: every callback lands in the exact
-/// accounting the threaded serve() loop does, and on_frame delegates to the
-/// shared handle_frame() — the reactor cannot diverge from the oracle
-/// without this adapter diverging, which it has no logic to do.
-class Collector::ReactorSink : public FrameHandler {
- public:
-  explicit ReactorSink(Collector& collector) : collector_(collector) {}
-
-  std::string on_frame(PeerState& peer, MsgType type, std::uint8_t version,
-                       const std::string& payload) override {
-    if (obs::recording()) obs::CollectorMetrics::get().frames.inc();
-    {
-      std::lock_guard<std::mutex> lock(collector_.state_mutex_);
-      ++collector_.totals_.frames;
-    }
-    return collector_.handle_frame(peer, type, version, payload);
-  }
-
-  void on_disconnect(PeerState& peer) override {
-    collector_.note_disconnect(peer);
-  }
-
-  void on_frame_error() override {
-    if (obs::recording()) obs::CollectorMetrics::get().frame_errors.inc();
-    std::lock_guard<std::mutex> lock(collector_.state_mutex_);
-    ++collector_.totals_.frame_errors;
-  }
-
-  void on_deadline_drop() override {
-    if (obs::recording()) obs::CollectorMetrics::get().deadline_drops.inc();
-    std::lock_guard<std::mutex> lock(collector_.state_mutex_);
-    ++collector_.totals_.deadline_drops;
-  }
-
-  void on_idle_reap() override {
-    if (obs::recording()) obs::CollectorMetrics::get().idle_reaped.inc();
-    std::lock_guard<std::mutex> lock(collector_.state_mutex_);
-    ++collector_.totals_.idle_reaped;
-  }
-
- private:
-  Collector& collector_;
-};
 
 Collector::Collector(CollectorConfig config)
     : config_(std::move(config)),
       admission_(config_.admission),
+      reactor_(reactor_config(config_), *this),
       merged_(config_.params),
       detector_(config_.detection),
       trace_ring_(config_.trace_capacity) {
@@ -100,8 +52,6 @@ Collector::Collector(CollectorConfig config)
   shard_map_ = config_.shard_map;
   if (config_.checkpoint_every == 0)
     throw std::invalid_argument("Collector: checkpoint_every must be > 0");
-  if (config_.use_reactor && config_.reactor_workers < 1)
-    throw std::invalid_argument("Collector: reactor_workers must be >= 1");
   if (config_.admission.max_inflight_bytes != 0) {
     // A single frame larger than the whole budget could never admit and
     // would be NACKed forever — a livelock the operator must resolve by
@@ -129,43 +79,17 @@ void Collector::start() {
                              config_.bind_address + ":" +
                              std::to_string(config_.port));
   listener_ = std::move(*listener);
+  listener_.set_nonblocking(true);
   running_.store(true, std::memory_order_release);
-  if (config_.use_reactor) {
-    listener_.set_nonblocking(true);
-    reactor_sink_ = std::make_unique<ReactorSink>(*this);
-    ReactorConfig reactor_config;
-    reactor_config.workers = config_.reactor_workers;
-    reactor_config.tick_ms = config_.io_timeout_ms;
-    reactor_config.frame_deadline_ms = config_.frame_deadline_ms;
-    reactor_config.idle_timeout_ms = config_.idle_timeout_ms;
-    reactor_config.max_frame_bytes = config_.max_frame_bytes;
-    reactor_ = std::make_unique<Reactor>(reactor_config, *reactor_sink_);
-    reactor_->start(listener_);
-  } else {
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
+  reactor_.start(listener_);
 }
 
 void Collector::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  if (reactor_) {
-    reactor_->stop();
-    reactor_.reset();
-    reactor_sink_.reset();
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
+  // Joins every worker and disconnects every peer; nothing calls back into
+  // the collector after this returns.
+  reactor_.stop();
   listener_.close();
-  // Shut the sockets down (not close: the serving threads still own the
-  // fds) to unblock their recvs, then join. The fds close when `conns`
-  // drops the last Connection references below, after every join.
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    conns.swap(connections_);
-  }
-  for (auto& conn : conns) conn->socket.shutdown();
-  for (auto& conn : conns)
-    if (conn->thread.joinable()) conn->thread.join();
   // Clean shutdown: fold the journal tail into a final checkpoint so the
   // next start replays nothing. Best-effort — the journal already holds
   // every acked delta, so a failed write here loses no data.
@@ -187,110 +111,15 @@ bool Collector::running() const {
 
 std::uint16_t Collector::port() const { return listener_.port(); }
 
-void Collector::accept_loop() {
-  while (running_.load(std::memory_order_acquire)) {
-    // Reap connections whose serving thread has finished, so churn (agents
-    // restarting repeatedly) does not accumulate dead threads.
-    {
-      std::lock_guard<std::mutex> lock(conn_mutex_);
-      std::erase_if(connections_, [](const std::shared_ptr<Connection>& c) {
-        if (!c->done.load(std::memory_order_acquire)) return false;
-        if (c->thread.joinable()) c->thread.join();
-        return true;
-      });
-    }
-    auto socket = listener_.accept(config_.io_timeout_ms);
-    if (!socket) continue;
-    auto conn = std::make_shared<Connection>();
-    conn->socket = std::move(*socket);
-    conn->socket.set_timeouts(
-        static_cast<std::uint64_t>(config_.io_timeout_ms),
-        static_cast<std::uint64_t>(config_.io_timeout_ms));
-    {
-      std::lock_guard<std::mutex> lock(conn_mutex_);
-      connections_.push_back(conn);
-    }
-    conn->thread = std::thread([this, conn] { serve(conn); });
-  }
+std::string Collector::on_frame(PeerState& peer, MsgType type,
+                                std::uint8_t version,
+                                const std::string& payload) {
+  ++frames_;
+  if (obs::recording()) obs::CollectorMetrics::get().frames.inc();
+  return handle_frame(peer, type, version, payload);
 }
 
-void Collector::serve(std::shared_ptr<Connection> conn) {
-  using Clock = std::chrono::steady_clock;
-  char buffer[64 * 1024];
-  bool failed = false;
-  if (config_.max_frame_bytes != 0)
-    conn->decoder.set_max_payload(config_.max_frame_bytes);
-  // Deadline bookkeeping. frame_start marks when the *oldest incomplete*
-  // frame began arriving and is deliberately not refreshed by later bytes:
-  // a slow-loris peer dribbling one byte per poll hits the deadline just
-  // like one that stalls outright. last_activity is refreshed by any bytes
-  // (heartbeats count) and backs the idle reaper.
-  Clock::time_point last_activity = Clock::now();
-  bool frame_pending = false;
-  Clock::time_point frame_start{};
-  while (running_.load(std::memory_order_acquire)) {
-    const RecvResult got = conn->socket.recv_some(buffer, sizeof buffer);
-    if (got.closed || got.error) break;
-    const Clock::time_point now = Clock::now();
-    if (!got.timed_out && got.bytes > 0) {
-      last_activity = now;
-      if (!frame_pending) {
-        frame_pending = true;
-        frame_start = now;
-      }
-      conn->decoder.feed(buffer, got.bytes);
-      try {
-        while (auto frame = conn->decoder.next()) {
-          if (obs::recording()) obs::CollectorMetrics::get().frames.inc();
-          {
-            std::lock_guard<std::mutex> lock(state_mutex_);
-            ++totals_.frames;
-          }
-          const std::string ack = handle_frame(conn->peer, frame->type,
-                                               frame->version,
-                                               frame->payload);
-          if (!ack.empty() && !conn->socket.send_all(ack)) {
-            failed = true;
-            break;
-          }
-        }
-        if (conn->decoder.buffered() == 0) frame_pending = false;
-      } catch (const WireError&) {
-        // Malformed frame or payload: the byte stream is unrecoverable.
-        // Count it, drop this connection, keep serving everyone else.
-        if (obs::recording()) obs::CollectorMetrics::get().frame_errors.inc();
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        ++totals_.frame_errors;
-        failed = true;
-      }
-      if (failed) break;
-    }
-    if (config_.frame_deadline_ms > 0 && frame_pending &&
-        now - frame_start >
-            std::chrono::milliseconds(config_.frame_deadline_ms)) {
-      if (obs::recording()) obs::CollectorMetrics::get().deadline_drops.inc();
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      ++totals_.deadline_drops;
-      break;
-    }
-    if (config_.idle_timeout_ms > 0 &&
-        now - last_activity >
-            std::chrono::milliseconds(config_.idle_timeout_ms)) {
-      if (obs::recording()) obs::CollectorMetrics::get().idle_reaped.inc();
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      ++totals_.idle_reaped;
-      break;
-    }
-  }
-  // Tell the peer now (FIN), but leave the close to whoever destroys the
-  // Connection after this thread is joined — closing here would race with
-  // stop()'s concurrent shutdown on the same fd.
-  conn->socket.shutdown();
-  note_disconnect(conn->peer);
-  conn->done.store(true, std::memory_order_release);
-}
-
-void Collector::note_disconnect(const PeerState& peer) {
+void Collector::on_disconnect(PeerState& peer) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   if (peer.hello_ok) {
     auto it = sites_.find(peer.site_id);
@@ -302,6 +131,21 @@ void Collector::note_disconnect(const PeerState& peer) {
     }
   }
   state_cv_.notify_all();
+}
+
+void Collector::on_frame_error() {
+  ++frame_errors_;
+  if (obs::recording()) obs::CollectorMetrics::get().frame_errors.inc();
+}
+
+void Collector::on_deadline_drop() {
+  ++deadline_drops_;
+  if (obs::recording()) obs::CollectorMetrics::get().deadline_drops.inc();
+}
+
+void Collector::on_idle_reap() {
+  ++idle_reaped_;
+  if (obs::recording()) obs::CollectorMetrics::get().idle_reaped.inc();
 }
 
 std::string Collector::handle_frame(PeerState& peer, MsgType type,
@@ -953,6 +797,10 @@ std::size_t Collector::active_alarm_count() const {
 Collector::Stats Collector::stats() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   Stats out = totals_;
+  out.frames = frames_.load();
+  out.frame_errors = frame_errors_.load();
+  out.deadline_drops = deadline_drops_.load();
+  out.idle_reaped = idle_reaped_.load();
   for (const auto& [site_id, gaps] : gap_epochs_)
     out.pending_gap_epochs += gaps.size();
   if (obs::recording())
@@ -962,12 +810,7 @@ Collector::Stats Collector::stats() const {
 }
 
 std::size_t Collector::connection_count() const {
-  if (reactor_) return reactor_->connection_count();
-  std::lock_guard<std::mutex> lock(conn_mutex_);
-  std::size_t live = 0;
-  for (const auto& conn : connections_)
-    if (!conn->done.load(std::memory_order_acquire)) ++live;
-  return live;
+  return reactor_.connection_count();
 }
 
 std::uint64_t Collector::inflight_bytes() const {

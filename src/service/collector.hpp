@@ -7,7 +7,7 @@
 // Fault model:
 //   * Site churn never blocks queries — connection handling and the merged
 //     state live behind separate synchronization; a site dying mid-frame
-//     just ends that connection's thread.
+//     just drops that connection from its reactor worker.
 //   * At-least-once delta delivery: a site retransmits un-acked epochs
 //     after reconnecting; the collector dedups by per-site last-merged
 //     epoch, so every epoch is merged exactly once.
@@ -32,6 +32,11 @@
 //     bytes + per-site delta rate. Sheds are honest: the site gets
 //     Ack{kRetryLater, retry_after_ms} and re-ships from its spool later,
 //     so overload degrades latency, never exactly-once delivery.
+//
+// Transport: one epoll Reactor (reactor.hpp) serves every connection — a
+// small worker pool, not a thread per site, so 10k+ concurrent agents cost
+// file descriptors, not threads. The collector is the reactor's
+// FrameHandler: every decoded frame lands in handle_frame().
 #pragma once
 
 #include <atomic>
@@ -43,7 +48,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "detection/baseline_detector.hpp"
@@ -52,6 +56,7 @@
 #include "service/checkpoint.hpp"
 #include "service/epoch_journal.hpp"
 #include "service/federation/shard_map.hpp"
+#include "service/reactor.hpp"
 #include "service/socket.hpp"
 #include "service/wire.hpp"
 #include "sketch/tracking_dcs.hpp"
@@ -86,8 +91,13 @@ struct CollectorConfig {
   bool run_detection = true;
   BaselineDetectorConfig detection;
   std::size_t detection_top_k = 10;
-  /// Poll/IO granularity; bounds stop() latency, not protocol timing.
+  /// Reactor tick: epoll wait and deadline-sweep granularity. Bounds stop()
+  /// latency and deadline slack, not protocol timing.
   int io_timeout_ms = 250;
+  /// Reactor epoll workers (worker 0 also accepts). Defaults to one per
+  /// hardware thread: frame CRC and sketch decode run inline on the worker,
+  /// so fewer workers serialize concurrent agents' decodes. Must be >= 1.
+  int reactor_workers = default_reactor_workers();
 
   // --- durability (see checkpoint.hpp) --------------------------------------
   /// Directory for checkpoints + the epoch journal. Empty disables
@@ -161,22 +171,9 @@ struct CollectorConfig {
   /// folding it into a checkpoint before every record is root-acked would
   /// orphan un-relayed deltas.
   std::function<bool()> checkpoint_gate;
-
-  // --- ingest path (see reactor.hpp) ----------------------------------------
-  /// Serve connections from the epoll reactor instead of one thread per
-  /// connection. Every protocol invariant (dedup, admission, deadlines,
-  /// journal-before-ack, tracing) is identical — both paths call the same
-  /// frame handler — but the reactor scales to 10k+ concurrent agents
-  /// where the threaded path tops out at thread-count scale. The threaded
-  /// path remains the differential-testing oracle.
-  bool use_reactor = false;
-  /// Epoll workers when use_reactor is set (worker 0 also accepts).
-  int reactor_workers = 2;
 };
 
-class Reactor;
-
-class Collector {
+class Collector : private FrameHandler {
  public:
   /// Per-site accounting, exposed for tests and operators.
   struct SiteStats {
@@ -252,11 +249,11 @@ class Collector {
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
-  /// Bind + start the accept loop. Throws std::runtime_error if the bind
+  /// Bind + start the reactor. Throws std::runtime_error if the bind
   /// fails. Idempotent until stop().
   void start();
-  /// Stop accepting, close all connections, join all threads. Merged state
-  /// remains queryable after stop().
+  /// Stop accepting, close all connections, join the reactor workers.
+  /// Merged state remains queryable after stop().
   void stop();
 
   bool running() const;
@@ -283,8 +280,8 @@ class Collector {
   /// last. Reads the lock-free ring — safe during ingest.
   std::vector<obs::EpochTrace> traces() const { return trace_ring_.snapshot(); }
 
-  /// Live entries in the connection table (reaped/done ones excluded).
-  /// Overload tests assert this shrinks after deadline/idle drops.
+  /// Live connections across the reactor workers. Overload tests assert
+  /// this shrinks after deadline/idle drops.
   std::size_t connection_count() const;
   /// Delta bytes admitted but not yet merged+released — the shipping-path
   /// RSS proxy the chaos harness asserts stays under the admission budget.
@@ -315,22 +312,22 @@ class Collector {
   bool wait_for_byes(std::uint64_t count, int timeout_ms) const;
 
  private:
-  struct Connection;
-  /// FrameHandler adapter the reactor calls into; defined in collector.cpp.
-  class ReactorSink;
+  // --- FrameHandler: the reactor's callbacks --------------------------------
+  /// Counts the frame, then handle_frame().
+  std::string on_frame(PeerState& peer, MsgType type, std::uint8_t version,
+                       const std::string& payload) override;
+  /// Marks the peer's site disconnected.
+  void on_disconnect(PeerState& peer) override;
+  void on_frame_error() override;
+  void on_deadline_drop() override;
+  void on_idle_reap() override;
 
-  void accept_loop();
-  void serve(std::shared_ptr<Connection> conn);
   /// Handle one decoded frame; returns the ack to send (empty = none).
   /// `version` is the frame's wire version — replies are framed at it.
-  /// Takes the transport-agnostic PeerState so the threaded loop and the
-  /// reactor drive the identical protocol logic.
   std::string handle_frame(PeerState& peer, MsgType type,
                            std::uint8_t version, const std::string& payload);
   std::string handle_delta(PeerState& peer, std::uint8_t version,
                            const std::string& payload);
-  /// serve()/reactor common exit path: mark the peer's site disconnected.
-  void note_disconnect(const PeerState& peer);
 
   /// True when (site, epoch) was already merged. Caller holds state_mutex_.
   /// Root mode consults the pending-gap set: an epoch below the watermark
@@ -364,16 +361,16 @@ class Collector {
   AdmissionController admission_;
 
   TcpListener listener_;
-  std::thread accept_thread_;
   std::atomic<bool> running_{false};
+  /// Serves every connection; *this is its FrameHandler.
+  Reactor reactor_;
 
-  /// Reactor-mode ingest (config_.use_reactor); null in threaded mode.
-  std::unique_ptr<ReactorSink> reactor_sink_;
-  std::unique_ptr<Reactor> reactor_;
-
-  /// Connection threads, joined on stop(). Guarded by conn_mutex_.
-  mutable std::mutex conn_mutex_;
-  std::vector<std::shared_ptr<Connection>> connections_;
+  /// Per-frame transport counters, bumped by reactor workers without the
+  /// state lock — a heartbeat never waits on another peer's merge.
+  std::atomic<std::uint64_t> frames_{0};
+  std::atomic<std::uint64_t> frame_errors_{0};
+  std::atomic<std::uint64_t> deadline_drops_{0};
+  std::atomic<std::uint64_t> idle_reaped_{0};
 
   /// Everything below is the merged/detection state, guarded by one mutex:
   /// merges are rare (per epoch per site) and queries are cheap, so a
@@ -407,7 +404,7 @@ class Collector {
   /// re-shipped pre-crash epochs (counted as post_recovery_duplicates).
   std::map<std::uint64_t, std::uint64_t> recovered_watermarks_;
 
-  /// Last N merged-epoch traces; written by connection threads (wait-free),
+  /// Last N merged-epoch traces; written by reactor workers (wait-free),
   /// read by the ops plane without touching state_mutex_.
   obs::TraceRing trace_ring_;
 };

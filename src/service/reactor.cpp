@@ -1,5 +1,6 @@
 #include "service/reactor.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <mutex>
@@ -29,10 +30,10 @@ struct Reactor::Conn {
   std::string out;
   std::size_t out_off = 0;
   bool want_write = false;
-  /// Deadline bookkeeping, same semantics as the threaded serve() loop:
-  /// frame_start marks when the oldest incomplete frame began arriving and
-  /// is NOT refreshed by later bytes (slow-loris defense); last_activity is
-  /// refreshed by any bytes and backs the idle reaper.
+  /// Deadline bookkeeping: frame_start marks when the oldest incomplete
+  /// frame began arriving and is NOT refreshed by later bytes (slow-loris
+  /// defense); last_activity is refreshed by any bytes and backs the idle
+  /// reaper.
   bool frame_pending = false;
   Clock::time_point frame_start{};
   Clock::time_point last_activity{};
@@ -40,7 +41,8 @@ struct Reactor::Conn {
 
 /// One epoll worker: its own epoll set, wakeup eventfd, and connection
 /// table keyed by fd. Other threads only ever touch `pending` (under
-/// `mutex`) and the eventfd — everything else is worker-thread private.
+/// `mutex`), `dealt` and the eventfd — everything else is worker-thread
+/// private.
 struct Reactor::Worker {
   int epoll_fd = -1;
   int event_fd = -1;
@@ -48,6 +50,9 @@ struct Reactor::Worker {
   std::unordered_map<int, std::unique_ptr<Conn>> conns;
   std::mutex mutex;
   std::vector<TcpSocket> pending;
+  /// Connections dealt to this worker and not yet dropped (pending ones
+  /// included): the acceptor deals to the smallest.
+  std::atomic<std::size_t> dealt{0};
   Clock::time_point last_sweep{};
 
   ~Worker() {
@@ -71,6 +76,10 @@ void drain_eventfd(int fd) {
 }
 
 }  // namespace
+
+int default_reactor_workers() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
 
 Reactor::Reactor(ReactorConfig config, FrameHandler& handler)
     : config_(config), handler_(handler) {
@@ -196,23 +205,29 @@ void Reactor::accept_ready(Worker& worker) {
     if (!socket) break;
     socket->set_nonblocking(true);
     if (obs::recording()) obs::ReactorMetrics::get().accepts.inc();
-    Worker& target = *workers_[next_worker_];
-    next_worker_ = (next_worker_ + 1) % workers_.size();
-    if (&target == &worker) {
+    Worker* target = workers_[0].get();
+    for (auto& candidate : workers_)
+      if (candidate->dealt.load() < target->dealt.load())
+        target = candidate.get();
+    ++target->dealt;
+    if (target == &worker) {
       adopt(worker, std::move(*socket));
     } else {
       {
-        std::lock_guard<std::mutex> lock(target.mutex);
-        target.pending.push_back(std::move(*socket));
+        std::lock_guard<std::mutex> lock(target->mutex);
+        target->pending.push_back(std::move(*socket));
       }
-      signal_eventfd(target.event_fd);
+      signal_eventfd(target->event_fd);
     }
   }
 }
 
 void Reactor::adopt(Worker& worker, TcpSocket socket) {
   const int fd = socket.fd();
-  if (fd < 0) return;
+  if (fd < 0) {
+    --worker.dealt;
+    return;
+  }
   auto conn = std::make_unique<Conn>();
   conn->socket = std::move(socket);
   if (config_.max_frame_bytes != 0)
@@ -221,7 +236,10 @@ void Reactor::adopt(Worker& worker, TcpSocket socket) {
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = fd;
-  if (::epoll_ctl(worker.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) return;
+  if (::epoll_ctl(worker.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    --worker.dealt;
+    return;
+  }
   worker.conns.emplace(fd, std::move(conn));
   connections_.fetch_add(1, std::memory_order_acq_rel);
   if (obs::recording()) obs::ReactorMetrics::get().connections.add(1);
@@ -337,6 +355,7 @@ void Reactor::drop(Worker& worker, int fd, Conn& conn) {
   conn.socket.shutdown();
   handler_.on_disconnect(conn.peer);
   worker.conns.erase(fd);  // closes the fd (TcpSocket dtor)
+  --worker.dealt;
   connections_.fetch_sub(1, std::memory_order_acq_rel);
   if (obs::recording()) obs::ReactorMetrics::get().connections.add(-1);
 }

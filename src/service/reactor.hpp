@@ -1,25 +1,24 @@
-// Event-driven ingest front end for the collector: one non-blocking
-// acceptor plus a small epoll worker pool, replacing the thread-per-
-// connection loop that capped concurrent agents at thread-count scale
-// (ROADMAP item 2 — the ingest bottleneck on the road to "millions of
-// sites").
+// Event-driven ingest front end for the collector — its only transport: one
+// non-blocking acceptor plus a small epoll worker pool, so concurrent agents
+// cost file descriptors rather than one OS thread each.
 //
 // Shape. Each worker owns an epoll instance, an eventfd for cross-thread
 // wakeups, and a private connection table — a connection lives on exactly
 // one worker for its whole life, so per-connection state (decoder buffer,
 // out-buffer, deadline clocks) is never shared between threads. Worker 0
 // additionally owns the listening socket: it drains accept(2) until EAGAIN
-// on every listener wakeup and deals new connections round-robin across the
-// pool (handing a socket to another worker via its pending queue +
-// eventfd).
+// on every listener wakeup and deals each new connection to the worker
+// holding the fewest (handing a socket to another worker via its pending
+// queue + eventfd). Fewest-first keeps concurrently active agents on
+// separate workers across reconnects, and leaves workers beyond the live
+// connection count idle, so their malloc arenas never hold freed frame
+// buffers.
 //
 // Frame reassembly. Sockets are non-blocking; a read wakeup drains
 // recv(2) until EAGAIN, feeding every chunk into that connection's
-// FrameDecoder. The decoder already reassembles frames across arbitrary
-// chunk boundaries — one byte per wakeup, a header split mid-field, or
-// fifty coalesced frames in one read all produce the same frame sequence —
-// so the reactor's state machine is exactly the threaded path's, minus the
-// thread.
+// FrameDecoder. The decoder reassembles frames across arbitrary chunk
+// boundaries — one byte per wakeup, a header split mid-field, or fifty
+// coalesced frames in one read all produce the same frame sequence.
 //
 // Replies. Handler replies append to a per-connection out-buffer flushed
 // with send_some(); a partial write (peer not draining) arms EPOLLOUT and
@@ -27,12 +26,12 @@
 // we owe it acks is bounded by kMaxOutBufferBytes and then dropped — the
 // reply-side analogue of the receive-side frame cap.
 //
-// Overload invariants carried over from the threaded path (see
-// collector.hpp): the frame deadline starts at the first byte of a partial
-// frame and is NOT refreshed by later bytes (slow-loris defense), the idle
-// timeout reaps silent connections, and both are swept per epoll tick so a
-// peer that never triggers another wakeup still dies on time. A WireError
-// from the decoder or the handler tears down only its own connection.
+// Overload invariants (see collector.hpp): the frame deadline starts at the
+// first byte of a partial frame and is NOT refreshed by later bytes
+// (slow-loris defense), the idle timeout reaps silent connections, and both
+// are swept per epoll tick so a peer that never triggers another wakeup
+// still dies on time. A WireError from the decoder or the handler tears
+// down only its own connection.
 #pragma once
 
 #include <atomic>
@@ -54,9 +53,13 @@ namespace dcs::service {
 /// dead peer gets near it.
 constexpr std::size_t kMaxOutBufferBytes = 1u << 20;
 
+/// One worker per hardware thread (at least 1): frame CRC and sketch decode
+/// run inline on the worker that owns the connection.
+int default_reactor_workers();
+
 struct ReactorConfig {
   /// Epoll workers. Worker 0 also runs the acceptor. Must be >= 1.
-  int workers = 2;
+  int workers = default_reactor_workers();
   /// Epoll wait timeout and deadline/idle sweep granularity; bounds stop()
   /// latency and deadline enforcement slack, not protocol timing.
   int tick_ms = 50;
@@ -70,10 +73,7 @@ struct ReactorConfig {
   std::uint32_t max_frame_bytes = 0;
 };
 
-/// What the reactor calls back into. The collector implements this over the
-/// same handle_frame() the threaded path uses — the handler cannot tell
-/// which transport delivered a frame, which is what makes the two ingest
-/// paths provably equivalent.
+/// What the reactor calls back into; the collector implements it.
 class FrameHandler {
  public:
   virtual ~FrameHandler() = default;
@@ -143,8 +143,6 @@ class Reactor {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> running_{false};
   std::atomic<std::size_t> connections_{0};
-  /// Round-robin dealing cursor (acceptor-thread only).
-  std::size_t next_worker_ = 0;
 };
 
 }  // namespace dcs::service

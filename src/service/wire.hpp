@@ -161,12 +161,9 @@ class FrameDecoder {
   std::uint32_t max_payload_ = kMaxPayloadBytes;
 };
 
-/// Per-connection protocol state shared by both collector ingest paths (the
-/// thread-per-connection loop and the epoll reactor): who the peer claims to
-/// be and what dialect the connection negotiated at Hello. Both transports
-/// hand the same struct to the same frame handler, so the handler cannot
-/// tell which path delivered a frame — the invariant the differential
-/// equivalence tests rely on.
+/// Per-connection protocol state the reactor keeps for each peer and hands
+/// to the collector's frame handler: who the peer claims to be and what
+/// dialect the connection negotiated at Hello.
 struct PeerState {
   /// Site id learned from the Hello; 0 until the handshake completes.
   /// On a role = kLeaf connection this is the *leaf id*, not a site id.

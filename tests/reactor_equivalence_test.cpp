@@ -1,14 +1,15 @@
-// Differential equivalence: the epoll reactor ingest path vs the threaded
-// thread-per-connection oracle (PR 3), both vs the single-sketch reference.
+// Differential equivalence: the collector's epoll reactor ingest path vs an
+// in-process single-sketch reference.
 //
 // Sketch linearity makes merge order irrelevant, so every sketch-derived
 // answer — the merged sketch bytes, top-k, per-group frequencies, the
 // distinct-pairs estimate — and every per-site epoch watermark must be
-// BIT-IDENTICAL no matter which transport carried the deltas or how they
-// interleaved. An N-agent scenario grid is shipped through both modes and
-// compared answer by answer; a second battery drives the reactor with raw
-// sockets to pin the protocol behaviours (dedup acks, gap accounting,
-// version-gated heartbeat acks) that the grid can't observe from outside.
+// BIT-IDENTICAL to the reference no matter how the deltas interleaved on
+// the wire or how many reactor workers served them. An N-agent scenario
+// grid is shipped through the collector and compared answer by answer; a
+// second battery drives the reactor with raw sockets to pin the protocol
+// behaviours (dedup acks, gap accounting, version-gated heartbeat acks)
+// that the grid can't observe from outside.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,11 +39,10 @@ DcsParams small_params() {
   return params;
 }
 
-CollectorConfig collector_config(bool use_reactor, int workers = 2) {
+CollectorConfig collector_config(int workers = default_reactor_workers()) {
   CollectorConfig config;
   config.params = small_params();
   config.io_timeout_ms = 50;  // keep stop() fast in tests
-  config.use_reactor = use_reactor;
   config.reactor_workers = workers;
   return config;
 }
@@ -177,10 +177,9 @@ void expect_identical(const IngestOutcome& got, const IngestOutcome& want,
 
 // --- the differential grid --------------------------------------------------
 
-/// N agents x workload scenarios through BOTH ingest paths: every answer the
-/// collector can give must be bit-identical across threaded mode, reactor
-/// mode, and the single-sketch reference.
-TEST(ReactorEquivalence, ScenarioGridMatchesThreadedOracleBitForBit) {
+/// N agents x workload scenarios through the collector: every answer it can
+/// give must be bit-identical to the single-sketch reference.
+TEST(ReactorEquivalence, ScenarioGridMatchesReferenceBitForBit) {
   struct Scenario {
     int sites;
     std::uint64_t pairs;
@@ -195,15 +194,11 @@ TEST(ReactorEquivalence, ScenarioGridMatchesThreadedOracleBitForBit) {
     const auto updates = zipf_updates(scenario.pairs, scenario.seed);
     const IngestOutcome reference =
         reference_outcome(updates, scenario.sites);
-    const IngestOutcome threaded = run_scenario(
-        collector_config(/*use_reactor=*/false), scenario.sites, updates);
-    const IngestOutcome reactor = run_scenario(
-        collector_config(/*use_reactor=*/true), scenario.sites, updates);
+    const IngestOutcome reactor =
+        run_scenario(collector_config(), scenario.sites, updates);
     const std::string label = "sites=" + std::to_string(scenario.sites) +
                               " pairs=" + std::to_string(scenario.pairs);
-    expect_identical(threaded, reference, "threaded vs reference " + label);
     expect_identical(reactor, reference, "reactor vs reference " + label);
-    expect_identical(reactor, threaded, "reactor vs threaded " + label);
   }
 }
 
@@ -213,10 +208,10 @@ TEST(ReactorEquivalence, ScenarioGridMatchesThreadedOracleBitForBit) {
 TEST(ReactorEquivalence, WorkerCountDoesNotChangeAnswers) {
   const auto updates = zipf_updates(4000, 7);
   const IngestOutcome reference = reference_outcome(updates, 4);
-  const IngestOutcome one = run_scenario(
-      collector_config(/*use_reactor=*/true, /*workers=*/1), 4, updates);
-  const IngestOutcome four = run_scenario(
-      collector_config(/*use_reactor=*/true, /*workers=*/4), 4, updates);
+  const IngestOutcome one =
+      run_scenario(collector_config(/*workers=*/1), 4, updates);
+  const IngestOutcome four =
+      run_scenario(collector_config(/*workers=*/4), 4, updates);
   expect_identical(one, reference, "1 worker vs reference");
   expect_identical(four, reference, "4 workers vs reference");
   expect_identical(four, one, "4 workers vs 1 worker");
@@ -281,7 +276,7 @@ std::string hello_frame(std::uint64_t site, std::uint64_t first_epoch = 1,
 /// The exactly-once contract on the reactor path: a retransmitted epoch is
 /// acked kDuplicate and merged once.
 TEST(ReactorEquivalence, DuplicateDeltaAckedAsDuplicate) {
-  CollectorConfig config = collector_config(/*use_reactor=*/true);
+  CollectorConfig config = collector_config();
   config.run_detection = false;
   Collector collector(config);
   collector.start();
@@ -311,9 +306,9 @@ TEST(ReactorEquivalence, DuplicateDeltaAckedAsDuplicate) {
 }
 
 /// Hello-resume gap accounting: a site resuming above last_epoch+1 gets the
-/// gap counted as dropped epochs, same as the threaded path.
+/// gap counted as dropped epochs.
 TEST(ReactorEquivalence, HelloResumeGapIsAccounted) {
-  CollectorConfig config = collector_config(/*use_reactor=*/true);
+  CollectorConfig config = collector_config();
   config.run_detection = false;
   Collector collector(config);
   collector.start();
@@ -345,7 +340,7 @@ TEST(ReactorEquivalence, HelloResumeGapIsAccounted) {
 /// too: a v3 site gets an ack per heartbeat, a v2 site gets none (an ack
 /// would desync its request/response stream).
 TEST(ReactorEquivalence, HeartbeatAckGatedOnNegotiatedVersion) {
-  CollectorConfig config = collector_config(/*use_reactor=*/true);
+  CollectorConfig config = collector_config();
   config.run_detection = false;
   Collector collector(config);
   collector.start();
@@ -384,7 +379,7 @@ TEST(ReactorEquivalence, HeartbeatAckGatedOnNegotiatedVersion) {
 /// Protocol-order violation on the reactor path: a delta before Hello is a
 /// WireError — connection dropped, frame_errors bumped, nothing merged.
 TEST(ReactorEquivalence, DeltaBeforeHelloDropsConnection) {
-  CollectorConfig config = collector_config(/*use_reactor=*/true);
+  CollectorConfig config = collector_config();
   config.run_detection = false;
   Collector collector(config);
   collector.start();

@@ -40,8 +40,6 @@ CollectorConfig reactor_config() {
   CollectorConfig config;
   config.params = small_params();
   config.io_timeout_ms = 20;
-  config.use_reactor = true;
-  config.reactor_workers = 2;
   config.run_detection = false;
   return config;
 }

@@ -148,10 +148,12 @@ TEST(ServiceSocketIo, SendAllAndRecvSomeSurviveEintr) {
   const std::string payload(1 << 20, 'e');
   std::atomic<bool> done{false};
   pthread_t victim = pthread_self();
+  std::atomic<bool> victim_ready{false};
 
   std::thread io([&] {
     // This thread does the I/O; the main thread signals it.
     victim = pthread_self();
+    victim_ready.store(true);
     std::string received;
     char buffer[8 * 1024];
     while (received.size() < payload.size()) {
@@ -163,8 +165,8 @@ TEST(ServiceSocketIo, SendAllAndRecvSomeSurviveEintr) {
     EXPECT_EQ(received.size(), payload.size());
     done.store(true);
   });
-  // Let the io thread publish its pthread id and block in recv.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  while (!victim_ready.load()) std::this_thread::sleep_for(
+      std::chrono::milliseconds(1));
 
   std::thread pepper([&] {
     while (!done.load()) {
@@ -184,8 +186,10 @@ TEST(ServiceSocketIo, SendAllAndRecvSomeSurviveEintr) {
     offset += chunk;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  io.join();
+  // The pepper stops once the io thread is done; joining it first means no
+  // signal can target an already-joined thread.
   pepper.join();
+  io.join();
   EXPECT_GT(g_signals_seen.load(), 0) << "no signal ever landed; the EINTR "
                                          "path was not exercised";
 }
@@ -221,8 +225,8 @@ TEST(ServiceSocketIo, AcceptSurvivesEintrDuringWait) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   auto client = tcp_connect("127.0.0.1", listener->port(), 1000);
   EXPECT_TRUE(client.has_value());
-  acceptor.join();
   pepper.join();
+  acceptor.join();
   EXPECT_TRUE(accepted.has_value())
       << "accept() turned EINTR into a spurious timeout";
 }

@@ -25,12 +25,8 @@
 //             [--budget N] [--site-rate R] [--site-burst N]
 //             [--frame-deadline-ms N] [--idle-timeout-ms N]
 //             [--loris N] [--stall N] [--oversize N] [--drain-ms N]
-//             [--reactor] [--reactor-workers N]
+//             [--churn-peers P] [--federation] [--leaves N]
 //             [--verbose] [--help]
-//
-// With --reactor the same soak runs against the epoll reactor ingest path
-// instead of thread-per-connection; every assertion is identical, which is
-// the point — the overload defenses are transport-independent.
 //
 // A third mode, --federation, runs the two-tier federation soak that is
 // the acceptance oracle for docs/FEDERATION.md: one root, --leaves leaf
@@ -48,13 +44,11 @@
 // anywhere.
 //
 // A second mode, --churn-peers P, skips the fault soak and instead runs a
-// concurrency/churn differential: a threaded collector is loaded with P/10
-// simultaneously-connected raw peers, then a reactor collector with the
-// full P, and each population ships an epoch, vanishes abruptly (no Bye),
-// reconnects, and ships a second epoch. Asserts the reactor actually held
-// >=10x the threaded concurrent-connection count, every epoch merged
-// exactly once across the churn, and the merged sketch equals a local
-// reference bit-for-bit.
+// concurrency/churn soak: P raw peers connect and hello simultaneously,
+// each ships an epoch, vanishes abruptly (no Bye), reconnects, and ships a
+// second epoch. Asserts all P peers were connected at once, every epoch
+// merged exactly once across the churn, and the merged sketch equals a
+// local reference bit-for-bit.
 //
 // Everything is seeded and bounded, so the chaos_smoke ctest runs it as-is;
 // raise --sites/--u (or --churn-peers) for a longer soak.
@@ -105,12 +99,9 @@ void print_usage() {
       "  --stall N            stalled connections (default 2)\n"
       "  --oversize N         oversized-frame connections (default 2)\n"
       "  --drain-ms N         post-fault drain budget (default 60000)\n"
-      "  --reactor            soak the epoll reactor ingest path instead of\n"
-      "                       thread-per-connection\n"
-      "  --reactor-workers N  reactor worker threads (default 2)\n"
-      "  --churn-peers P      run the connect/churn differential instead of\n"
-      "                       the fault soak: threaded at P/10 concurrent\n"
-      "                       peers vs reactor at P (default 0 = off)\n"
+      "  --churn-peers P      run the connect/churn soak instead of the\n"
+      "                       fault soak: P peers connected at once, each\n"
+      "                       vanishing and reconnecting (default 0 = off)\n"
       "  --federation         run the two-tier federation soak instead of\n"
       "                       the fault soak: leaf kill + reshard + journal\n"
       "                       drain, asserting bit-for-bit root convergence\n"
@@ -214,7 +205,7 @@ void run_oversize(std::uint16_t port, std::uint32_t announce) {
   }
 }
 
-// --- churn differential ------------------------------------------------------
+// --- churn soak --------------------------------------------------------------
 
 /// One raw protocol peer for the churn mode: a socket plus the decoder
 /// needed to read acks back. Destroying it without a Bye is the "abrupt
@@ -275,30 +266,18 @@ std::string churn_delta_frame(const DcsParams& params, std::uint64_t site,
   return encode_frame(MsgType::kSnapshotDelta, delta.encode());
 }
 
-struct ChurnResult {
-  std::size_t peak_connections = 0;
-  double connect_ms = 0.0;
-  bool ok = false;
-};
-
-/// Drive one collector mode through the full churn: connect P peers at
-/// once, ship epoch 1, vanish without Bye, reconnect, ship epoch 2, part
-/// cleanly. Every exactly-once and accounting invariant is asserted against
-/// the same expectations in both modes.
-ChurnResult run_churn_mode(bool use_reactor, int reactor_workers,
-                           std::size_t peers, const DcsParams& params,
-                           int drain_ms, bool verbose) {
-  ChurnResult result;
-  const char* mode = use_reactor ? "reactor" : "threaded";
-
+/// The --churn-peers entry point: connect P peers at once, ship epoch 1,
+/// vanish without Bye, reconnect, ship epoch 2, part cleanly. Asserts all P
+/// were connected simultaneously and every epoch merged exactly once.
+int run_churn(std::size_t peers, std::uint64_t seed, int drain_ms,
+              bool verbose) {
+  const DcsParams params = chaos_params(seed);
   CollectorConfig config;
   config.params = params;
   config.io_timeout_ms = 25;
   config.run_detection = false;  // pure ingest/connection stress
   config.idle_timeout_ms = drain_ms;  // peers idle while the tail connects
   config.frame_deadline_ms = drain_ms;
-  config.use_reactor = use_reactor;
-  config.reactor_workers = reactor_workers;
   Collector collector(config);
   collector.start();
   const std::uint16_t port = collector.port();
@@ -310,25 +289,22 @@ ChurnResult run_churn_mode(bool use_reactor, int reactor_workers,
   for (std::uint64_t site = 1; site <= peers; ++site) {
     auto peer = std::make_unique<ChurnPeer>();
     if (!peer->connect_and_hello(port, params, site, 1)) {
-      std::fprintf(stderr, "dcs_chaos: [%s] peer %llu failed to hello\n",
-                   mode, static_cast<unsigned long long>(site));
-      ++failures;
-      collector.stop();
-      return result;
+      std::fprintf(stderr, "dcs_chaos: churn peer %llu failed to hello\n",
+                   static_cast<unsigned long long>(site));
+      return 1;
     }
     population.push_back(std::move(peer));
   }
-  result.connect_ms =
+  const double connect_ms =
       static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                               Clock::now() - connect_start)
                               .count()) /
       1e6;
-  result.peak_connections = collector.connection_count();
-  expect(result.peak_connections >= peers,
-         "every churn peer was connected simultaneously");
+  const std::size_t peak = collector.connection_count();
+  expect(peak >= peers, "every churn peer was connected simultaneously");
   if (verbose)
-    std::printf("[%s] %zu peers connected in %.1f ms (live=%zu)\n", mode,
-                peers, result.connect_ms, result.peak_connections);
+    std::printf("%zu peers connected in %.1f ms (live=%zu)\n", peers,
+                connect_ms, peak);
 
   // Phase 2: each peer ships its first epoch and sees it acked.
   for (std::uint64_t site = 1; site <= peers; ++site) {
@@ -397,36 +373,8 @@ ChurnResult run_churn_mode(bool use_reactor, int reactor_workers,
   expect(serialize_sketch(merged) == serialize_sketch(reference),
          "churn-merged sketch equals the local reference bit-for-bit");
 
-  result.ok = failures == 0;
-  return result;
-}
-
-/// The --churn-peers entry point: threaded at P/10, reactor at P, then the
-/// headline assertion — the reactor demonstrably held >=10x the threaded
-/// mode's concurrent-agent count while preserving every merge invariant.
-int run_churn(std::size_t peers, int reactor_workers, std::uint64_t seed,
-              int drain_ms, bool verbose) {
-  const DcsParams params = chaos_params(seed);
-  const std::size_t threaded_peers = std::max<std::size_t>(1, peers / 10);
-
-  const ChurnResult threaded = run_churn_mode(
-      /*use_reactor=*/false, reactor_workers, threaded_peers, params,
-      drain_ms, verbose);
-  const ChurnResult reactor = run_churn_mode(
-      /*use_reactor=*/true, reactor_workers, peers, params, drain_ms,
-      verbose);
-
-  std::printf(
-      "churn: threaded_peers=%zu threaded_peak=%zu threaded_connect_ms=%.1f "
-      "reactor_peers=%zu reactor_peak=%zu reactor_connect_ms=%.1f\n",
-      threaded_peers, threaded.peak_connections, threaded.connect_ms, peers,
-      reactor.peak_connections, reactor.connect_ms);
-
-  expect(threaded.ok, "threaded churn preserved every invariant");
-  expect(reactor.ok, "reactor churn preserved every invariant");
-  expect(reactor.peak_connections >= 10 * threaded.peak_connections,
-         "reactor sustained >=10x the threaded concurrent-agent count");
-
+  std::printf("churn: peers=%zu peak=%zu connect_ms=%.1f\n", peers, peak,
+              connect_ms);
   if (failures == 0) {
     std::printf("dcs_chaos: OK\n");
     return 0;
@@ -765,9 +713,6 @@ int main(int argc, char** argv) {
   const auto oversize =
       static_cast<std::size_t>(options.integer("oversize", 2));
   const int drain_ms = static_cast<int>(options.integer("drain-ms", 60000));
-  const bool use_reactor = options.flag("reactor");
-  const int reactor_workers =
-      static_cast<int>(options.integer("reactor-workers", 2));
   const auto churn_peers =
       static_cast<std::size_t>(options.integer("churn-peers", 0));
   const bool verbose = options.flag("verbose");
@@ -781,7 +726,7 @@ int main(int argc, char** argv) {
 
   if (churn_peers > 0) {
     try {
-      return run_churn(churn_peers, reactor_workers, seed, drain_ms, verbose);
+      return run_churn(churn_peers, seed, drain_ms, verbose);
     } catch (const std::exception& error) {
       std::fprintf(stderr, "dcs_chaos: %s\n", error.what());
       return 1;
@@ -804,8 +749,6 @@ int main(int argc, char** argv) {
   // hint we gave it.
   config.admission.max_retry_after_ms = static_cast<std::uint32_t>(
       std::max(idle_timeout_ms / 3, 10));
-  config.use_reactor = use_reactor;
-  config.reactor_workers = reactor_workers;
 
   try {
     Collector collector(config);
@@ -1021,7 +964,6 @@ int main(int argc, char** argv) {
       report.meta("sites", static_cast<double>(sites));
       report.meta("u_per_site", static_cast<double>(u));
       report.meta("faults", static_cast<double>(loris + stall + oversize));
-      report.meta("reactor", use_reactor ? 1.0 : 0.0);
       report.metric("drain", "convergence_ms", convergence_ms,
                     bench::Direction::kLowerIsBetter, 50.0);
       report.value("drain", "deltas_merged",
